@@ -100,7 +100,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     common(p)
 
     args = parser.parse_args(argv)
-    caps = _caps_from_args(args)
+    try:
+        caps = _caps_from_args(args)
+    except (OSError, ValueError) as e:
+        print(f"leeperfect: bad caps: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "check":
             # single checks keep the full audit trail regardless of flags

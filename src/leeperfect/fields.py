@@ -1,14 +1,17 @@
-"""Explicit finite field extensions F_{p^f}.
+"""Arithmetic in F_p[x]/(m) and explicit finite field extensions F_{p^f}.
 
-A FieldCtx owns a monic irreducible modulus over F_p (found by seeded search
-and certified by Rabin's test).  Elements are coefficient tuples of length f.
-Frobenius and the trace to F_p are precomputed as F_p-linear maps (numpy
-integer matrices), which keeps the per-element cost of the character-orbit
-evaluations low even at degree 70.
+PolyModRing is the one kernel: coefficient rows of length d = deg m, with a
+batched multiply-and-reduce on (N, d) int64 arrays, single-element powers,
+and Frobenius and trace as precomputed F_p-linear maps (numpy integer
+matrices), which keeps the per-element cost of the character-orbit
+evaluations low even at degree 70.  Both the theta tables over F_{p^f} and
+the orbit searches in F_p[y]/Psi_v (orbitfield.CosineField) run on it.
 
-Elements never migrate between contexts: mixing owners raises immediately,
-since a silently coerced operand is the classic way to get a wrong character
-sum.
+A FieldCtx is a PolyModRing whose modulus is a monic irreducible polynomial
+over F_p, found by seeded search and certified by Rabin's test.  Its
+FieldElements are coefficient tuples of length f.  Elements never migrate
+between contexts: mixing owners raises immediately, since a silently
+coerced operand is the classic way to get a wrong character sum.
 """
 
 from __future__ import annotations
@@ -24,75 +27,113 @@ DEFAULT_MAX_DEGREE = 80
 DEFAULT_MAX_UNITY = 65536
 
 
-class FieldCtx:
-    """F_{p^f} = F_p[x] / (modulus), modulus monic irreducible of degree f."""
+class PolyModRing:
+    """F_p[x] / (modulus), modulus monic of degree deg >= 1, on coefficient rows."""
 
     def __init__(self, p: int, modulus: Iterable[int]):
         modulus = tuple(int(c) % p for c in modulus)
-        if modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
+        if len(modulus) < 2 or modulus[-1] != 1:
+            raise ValueError("modulus must be monic of degree >= 1")
         self.p = p
-        self.f = len(modulus) - 1
+        self.deg = d = len(modulus) - 1
         self.modulus = modulus
-        self.order = p**self.f
-        self._red = _reduction_rows(p, modulus)
-        self._frob_pows: dict[int, np.ndarray] = {0: np.eye(self.f, dtype=np.int64)}
-        if not self._is_irreducible():
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-        tr = np.zeros((self.f, self.f), dtype=np.int64)
-        for k in range(self.f):
-            tr = (tr + self._frob_matrix(k)) % p
-        self._trace_mat = tr
+        # reduction rows: row k holds x^(d+k) mod modulus, k = 0..d-2
+        rows = [np.array([(-c) % p for c in modulus[:-1]], dtype=np.int64)]
+        for _ in range(d - 2):
+            prev = rows[-1]
+            rows.append((np.concatenate(([0], prev[:-1])) + prev[-1] * rows[0]) % p)
+        self._red = np.array(rows[: d - 1], dtype=np.int64).reshape(d - 1, d)
+        self._frob = {0: np.eye(d, dtype=np.int64)}
+        self._trace: Optional[np.ndarray] = None
 
-    # -- low-level vector arithmetic (rows of length f) ------------------------
+    def scalar_vec(self, c: int) -> np.ndarray:
+        z = np.zeros(self.deg, dtype=np.int64)
+        z[0] = c % self.p
+        return z
 
-    def _mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        c = np.convolve(a, b)
-        return _reduce(c[None, :], self._red, self.p, self.f)[0]
+    def x_vec(self) -> np.ndarray:
+        """The residue of x itself (for deg 1, the constant -modulus[0])."""
+        if self.deg == 1:
+            return self.scalar_vec(-self.modulus[0])
+        x = np.zeros(self.deg, dtype=np.int64)
+        x[1] = 1
+        return x
 
-    def _pow_vec(self, a: np.ndarray, e: int) -> np.ndarray:
-        result = np.zeros(self.f, dtype=np.int64)
-        result[0] = 1
-        base = a % self.p
+    # -- batched operations on (N, deg) int64 arrays; a 1-row side broadcasts --
+
+    def mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        d, p = self.deg, self.p
+        if d == 1:
+            return A * B % p
+        if A.shape[0] == 1 and B.shape[0] == 1:
+            conv = np.convolve(A[0], B[0])[None, :]
+        else:
+            conv = np.zeros((max(A.shape[0], B.shape[0]), 2 * d - 1), dtype=np.int64)
+            for i in range(d):
+                conv[:, i : i + d] += A[:, i : i + 1] * B
+        return (conv[:, :d] + conv[:, d:] @ self._red) % p
+
+    def square(self, A: np.ndarray) -> np.ndarray:
+        return self.mul(A, A)
+
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        """Single-element power (1-D in, 1-D out), e >= 0."""
+        r = self.scalar_vec(1)[None, :]
+        base = a[None, :] % self.p
         while e:
             if e & 1:
-                result = self._mul_vec(result, base)
-            base = self._mul_vec(base, base)
+                r = self.mul(r, base)
+            base = self.mul(base, base)
             e >>= 1
-        return result
+        return r[0]
 
-    def _frob1(self) -> np.ndarray:
-        """Matrix of x -> x^p on coefficient rows (row i holds (x^i)^p)."""
-        if 1 not in self._frob_pows:
-            xp = self._pow_vec(_x_vec(self.f), self.p)
-            m = np.zeros((self.f, self.f), dtype=np.int64)
-            m[0, 0] = 1
-            cur = np.zeros(self.f, dtype=np.int64)
-            cur[0] = 1
-            for i in range(1, self.f):
-                cur = self._mul_vec(cur, xp)
-                m[i] = cur
-            self._frob_pows[1] = m
-        return self._frob_pows[1]
+    def frob_matrix(self, e: int) -> np.ndarray:
+        """Matrix of z -> z^(p^e) on coefficient rows (row i holds (x^i)^(p^e))."""
+        e %= self.deg
+        if e not in self._frob:
+            if e == 1:
+                xp = self.pow(self.x_vec(), self.p)[None, :]
+                m = np.eye(self.deg, dtype=np.int64)
+                for i in range(1, self.deg):
+                    m[i] = self.mul(m[i - 1 : i], xp)[0]
+            else:
+                m = self.frob_matrix(e - 1) @ self.frob_matrix(1) % self.p
+            self._frob[e] = m
+        return self._frob[e]
 
-    def _frob_matrix(self, k: int) -> np.ndarray:
-        k %= self.f
-        if k not in self._frob_pows:
-            m = self._frob_matrix(k - 1) @ self._frob1() % self.p
-            self._frob_pows[k] = m
-        return self._frob_pows[k]
+    def frob(self, A: np.ndarray, e: int = 1) -> np.ndarray:
+        return A @ self.frob_matrix(e) % self.p
+
+    def trace_matrix(self) -> np.ndarray:
+        """Matrix of z -> sum of z^(p^k), k < deg, acting on coefficient rows."""
+        if self._trace is None:
+            tr = np.zeros((self.deg, self.deg), dtype=np.int64)
+            for k in range(self.deg):
+                tr = (tr + self.frob_matrix(k)) % self.p
+            self._trace = tr
+        return self._trace
+
+
+class FieldCtx(PolyModRing):
+    """F_{p^f} = F_p[x] / (modulus), modulus monic irreducible of degree f."""
+
+    def __init__(self, p: int, modulus: Iterable[int]):
+        super().__init__(p, modulus)
+        self.f = self.deg
+        self.order = p**self.f
+        if not self._is_irreducible():
+            raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
 
     def _is_irreducible(self) -> bool:
         """Rabin: x^(p^f) = x and gcd(x^(p^(f/q)) - x, modulus) = 1, q | f prime."""
         f, p = self.f, self.p
         if f == 1:
             return True
-        frob1 = self._frob1()
-        x = _x_vec(f)
+        x = self.x_vec()
         powers = {}
         cur = x
         for k in range(1, f + 1):
-            cur = cur @ frob1 % p
+            cur = self.frob(cur)
             powers[k] = cur
         if not np.array_equal(powers[f], x):
             return False
@@ -128,10 +169,6 @@ class FieldCtx:
     def random_element(self, rng) -> "FieldElement":
         return self.element(tuple(rng.randrange(self.p) for _ in range(self.f)))
 
-    def trace_matrix(self) -> np.ndarray:
-        """Matrix of the trace-to-F_p map acting on coefficient rows."""
-        return self._trace_mat
-
     def __repr__(self):
         return f"FieldCtx(p={self.p}, f={self.f})"
 
@@ -165,23 +202,17 @@ class FieldElement:
         p = self.owner.p
         return FieldElement(self.owner, tuple(-a % p for a in self.coeffs))
 
+    def row(self) -> np.ndarray:
+        return np.array(self.coeffs, dtype=np.int64)
+
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        ctx = self.owner
-        c = ctx._mul_vec(np.array(self.coeffs, dtype=np.int64), np.array(other.coeffs, dtype=np.int64))
-        return FieldElement(ctx, tuple(int(v) for v in c))
+        return _element(self.owner, self.owner.mul(self.row()[None, :], other.row()[None, :])[0])
 
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
             return self.inv() ** (-e)
-        result = self.owner.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _element(self.owner, self.owner.pow(self.row(), e))
 
     def inv(self) -> "FieldElement":
         if not self:
@@ -203,6 +234,10 @@ class FieldElement:
 
     def __repr__(self):
         return f"Fe{list(self.coeffs)}"
+
+
+def _element(ctx: FieldCtx, row: np.ndarray) -> FieldElement:
+    return FieldElement(ctx, tuple(row.tolist()))
 
 
 def build_field(p: int, f: int, seed: int = 0, max_degree: int = DEFAULT_MAX_DEGREE) -> FieldCtx:
@@ -230,16 +265,13 @@ def frobenius(e: FieldElement, k: int) -> FieldElement:
     """e^(p^k) via the precomputed p-th-power linear maps."""
     if k < 0:
         raise ValueError("negative Frobenius power")
-    ctx = e.owner
-    m = ctx._frob_matrix(k)
-    out = np.array(e.coeffs, dtype=np.int64) @ m % ctx.p
-    return FieldElement(ctx, tuple(int(v) for v in out))
+    return _element(e.owner, e.owner.frob(e.row(), k))
 
 
 def trace_to_prime(e: FieldElement) -> int:
     """Sum of e^(p^k) over k < f, asserted to land in the prime subfield."""
     ctx = e.owner
-    out = np.array(e.coeffs, dtype=np.int64) @ ctx._trace_mat % ctx.p
+    out = e.row() @ ctx.trace_matrix() % ctx.p
     if out[1:].any():
         raise AssertionError("trace did not land in the prime subfield")
     return int(out[0])
@@ -263,22 +295,27 @@ def roots_of_unity(
         raise BudgetExceeded(f"unity group size {k} exceeds the cap {cap}")
     if k == 1:
         return [ctx.one()]
-    prime_divs = [q for q, _ in nt.factorize(k, seed=seed).factors]
-    cofactor = (ctx.order - 1) // k
-    rng = seeded_rng(seed, "unity", ctx.p, ctx.f, k)
-    while True:
-        g = ctx.random_element(rng)
-        if not g:
-            continue
-        z = g**cofactor
-        if all((z ** (k // q)) != ctx.one() for q in prime_divs):
-            break
+    z = exact_order_element(ctx, k, seeded_rng(seed, "unity", ctx.p, ctx.f, k))
     roots = [ctx.one()]
     cur = z
     for _ in range(k - 1):
         roots.append(cur)
         cur = cur * z
     return roots
+
+
+def exact_order_element(ctx: FieldCtx, k: int, rng) -> FieldElement:
+    """g^((order-1)/k) for random nonzero g drawn from rng, until one has
+    exact multiplicative order k (k must divide order - 1)."""
+    prime_divs = nt.factorize(k).primes()
+    cofactor = (ctx.order - 1) // k
+    while True:
+        g = ctx.random_element(rng)
+        if not g:
+            continue
+        z = g**cofactor
+        if all(z ** (k // q) != ctx.one() for q in prime_divs):
+            return z
 
 
 # -- internal helpers -----------------------------------------------------------
@@ -296,43 +333,6 @@ def _prime_divisors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _x_vec(f: int) -> np.ndarray:
-    v = np.zeros(f, dtype=np.int64)
-    if f > 1:
-        v[1] = 1
-    return v
-
-
-def _reduction_rows(p: int, modulus: tuple[int, ...]) -> np.ndarray:
-    """Rows k = coefficients of x^(f+k) mod modulus, for k = 0..f-2."""
-    f = len(modulus) - 1
-    if f == 1:
-        return np.zeros((0, 1), dtype=np.int64)
-    neg = np.array([(-c) % p for c in modulus[:-1]], dtype=np.int64)
-    rows = np.zeros((f - 1, f), dtype=np.int64)
-    cur = neg.copy()
-    rows[0] = cur
-    for k in range(1, f - 1):
-        nxt = np.zeros(f, dtype=np.int64)
-        nxt[1:] = cur[:-1]
-        nxt = (nxt + cur[-1] * neg) % p
-        rows[k] = nxt
-        cur = nxt
-    return rows
-
-
-def _reduce(conv: np.ndarray, red: np.ndarray, p: int, f: int) -> np.ndarray:
-    """Reduce convolution output rows (width <= 2f-1) mod the field modulus."""
-    width = conv.shape[1]
-    if width < 2 * f - 1:
-        conv = np.pad(conv, ((0, 0), (0, 2 * f - 1 - width)))
-    lo = conv[:, :f]
-    if f == 1:
-        return lo % p
-    hi = conv[:, f:]
-    return (lo + hi @ red) % p
 
 
 def _poly_gcd_degree(a: list[int], b: list[int], p: int) -> int:

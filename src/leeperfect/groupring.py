@@ -188,14 +188,6 @@ def all_ones(group: AbelianGroup) -> GroupRingElement:
     return GroupRingElement(group, [1] * group.order)
 
 
-def ring_add(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a + b
-
-
-def ring_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a * b
-
-
 def power_map(a: GroupRingElement, t: int) -> GroupRingElement:
     """Coefficient-preserving substitution g -> t*g (written additively)."""
     G = a.group

@@ -199,17 +199,6 @@ def _iroot(n: int, k: int) -> int:
     return lo
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """pow with an explicit modulus >= 1; exponents may be arbitrarily large."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    return pow(base, exponent, modulus)
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
 def is_perfect_square(n: int) -> Optional[int]:
     """The integer square root c with c*c == n, or None."""
     if n < 0:

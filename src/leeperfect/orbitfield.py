@@ -10,8 +10,11 @@ the paired powers zeta^k + zeta^-k needed by the inversion formula are plain
 polynomial expressions in the generator y.  No embedding into F_{p^(v-1)} is
 ever required.
 
-All candidate-level operations act on (N, deg) integer arrays so a full
-enumeration of F_{11^6} (about 1.8M candidates) runs in seconds.
+CosineField is a fields.PolyModRing with modulus Psi_v mod p: every
+candidate-level operation is the shared batched kernel on (N, deg) integer
+arrays, so a full enumeration of F_{11^6} (about 1.8M candidates) runs in
+seconds.  On top of the kernel it adds only the paired powers, the candidate
+enumeration and the inversion back to the coefficients a_g.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nt
+from .fields import PolyModRing
 
 
 def cosine_min_poly(v: int) -> list[int]:
@@ -47,110 +51,35 @@ def cosine_min_poly(v: int) -> list[int]:
     return acc
 
 
-class CosineField:
+class CosineField(PolyModRing):
     """F_p[y]/Psi_v(y) with batched (N, deg) operations; y = zeta_v + zeta_v^-1."""
 
     def __init__(self, p: int, v: int):
         if nt.mult_order(p % v, v) != v - 1:
             raise ValueError(f"{p} is not primitive mod {v}: cosine model is reducible")
-        self.p = p
+        super().__init__(p, cosine_min_poly(v))
         self.v = v
-        self.deg = (v - 1) // 2
-        psi = [c % p for c in cosine_min_poly(v)]
-        self.modulus = tuple(psi)
-        self._red = self._reduction_rows(psi)
-        self._frob = {0: np.eye(self.deg, dtype=np.int64)}
-        # paired powers c_k = zeta^k + zeta^-k as field elements, k = 0..v-1
-        cos = [self.scalar_vec(2), self._y_vec()]
-        for k in range(2, v):
-            cos.append((self.mul(cos[k - 1][None, :], self._y_vec()[None, :])[0] - cos[k - 2]) % p)
-        self.cosines = np.stack(cos)
-        # sanity: c_v = c_0 closes the cycle
-        nxt = (self.mul(cos[v - 1][None, :], self._y_vec()[None, :])[0] - cos[v - 2]) % p
-        assert np.array_equal(nxt, cos[0]), "cosine recursion failed to close"
+        # paired powers c_k = zeta^k + zeta^-k as field elements, k = 0..v (c_v = c_0)
+        y = self.x_vec()[None, :]
+        cos = [self.scalar_vec(2)[None, :], y]
+        for k in range(2, v + 1):
+            cos.append((self.mul(cos[k - 1], y) - cos[k - 2]) % p)
+        assert np.array_equal(cos[v], cos[0]), "cosine recursion failed to close"
+        self.cosines = np.concatenate(cos[:v])
 
-    # -- construction ----------------------------------------------------------
-
-    def _reduction_rows(self, psi: list[int]) -> np.ndarray:
-        d = self.deg
-        p = self.p
-        if d == 1:
-            return np.zeros((0, 1), dtype=np.int64)
-        neg = np.array([(-c) % p for c in psi[:-1]], dtype=np.int64)
-        rows = np.zeros((d - 1, d), dtype=np.int64)
-        cur = neg.copy()
-        rows[0] = cur
-        for k in range(1, d - 1):
-            nxt = np.zeros(d, dtype=np.int64)
-            nxt[1:] = cur[:-1]
-            nxt = (nxt + cur[-1] * neg) % p
-            rows[k] = nxt
-            cur = nxt
-        return rows
-
-    def _y_vec(self) -> np.ndarray:
-        y = np.zeros(self.deg, dtype=np.int64)
-        if self.deg > 1:
-            y[1] = 1
-        else:
-            # deg 1 means v = 3: y = zeta + zeta^-1 = -1
-            y[0] = (-1) % self.p
-        return y
-
-    def scalar_vec(self, c: int) -> np.ndarray:
-        z = np.zeros(self.deg, dtype=np.int64)
-        z[0] = c % self.p
-        return z
-
-    def frob_matrix(self, e: int) -> np.ndarray:
-        e %= self.deg if self.deg > 0 else 1
-        if e not in self._frob:
-            if 1 not in self._frob:
-                yp = self.pow_scalar(self._y_vec(), self.p)
-                m = np.zeros((self.deg, self.deg), dtype=np.int64)
-                m[0, 0] = 1
-                cur = self.scalar_vec(1)
-                for i in range(1, self.deg):
-                    cur = self.mul(cur[None, :], yp[None, :])[0]
-                    m[i] = cur
-                self._frob[1] = m
-            self._frob[e] = self.frob_matrix(e - 1) @ self._frob[1] % self.p
-        return self._frob[e]
-
-    # -- batched operations on (N, deg) int arrays -------------------------------
-
-    def mul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        d = self.deg
-        if d == 1:
-            return A * B % self.p
-        N = A.shape[0]
-        conv = np.zeros((N, 2 * d - 1), dtype=np.int64)
-        for i in range(d):
-            conv[:, i : i + d] += A[:, i : i + 1] * B
-        lo = conv[:, :d]
-        hi = conv[:, d:]
-        return (lo + hi @ self._red) % self.p
-
-    def square(self, A: np.ndarray) -> np.ndarray:
-        return self.mul(A, A)
-
-    def frob(self, A: np.ndarray, e: int = 1) -> np.ndarray:
-        return A @ self.frob_matrix(e) % self.p
-
-    def mul_scalar_elt(self, A: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Rows of A times the single field element c (1-D vector)."""
-        return self.mul(A, np.broadcast_to(c, A.shape))
-
-    def pow_scalar(self, a: np.ndarray, e: int) -> np.ndarray:
-        """Single-element power (1-D in, 1-D out)."""
-        r = self.scalar_vec(1)
-        base = a % self.p
-        while e:
-            if e & 1:
-                r = self.mul(r[None, :], base[None, :])[0]
-            base = self.mul(base[None, :], base[None, :])[0]
-            e >>= 1
-        return r
+    def coefficients(self, values: dict, total: int) -> list[int]:
+        """Inversion a_g = (total + sum_j values[j] * c_(jg)) / v, g = 0..v-1,
+        from the 1-row class values j = 1..deg; asserts that every a_g lands in
+        F_p and that they sum to total (mod p)."""
+        v, p = self.v, self.p
+        acc = np.zeros((v, self.deg), dtype=np.int64)
+        acc[:, 0] = total
+        for j in range(1, self.deg + 1):
+            acc += self.mul(values[j], self.cosines[np.arange(v) * j % v])
+        a = acc % p * pow(v, -1, p) % p
+        assert not a[:, 1:].any(), "reconstructed coefficient left the prime subfield"
+        assert a[:, 0].sum() % p == total % p, "coefficient sum mismatch"
+        return a[:, 0].tolist()
 
     def enumerate(self, start: int, stop: int) -> np.ndarray:
         """Candidates start..stop-1 as base-p digit rows."""

@@ -71,6 +71,44 @@ class CriterionOutcome:
         )
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses changes; it pickles and copies as a plain dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a cached result is shared and read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+class _ReadOnlyList(list):
+    """A list that refuses changes; it pickles and copies as a plain list."""
+
+    _refuse = _ReadOnlyDict._refuse
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = clear = extend = insert = pop = remove = reverse = sort = _refuse
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+def read_only(obj: Any) -> Any:
+    """obj with every dict and list replaced by a read-only copy.
+
+    The copy compares equal to the original and serializes to the same JSON,
+    so an lru_cache'd result can go into every certificate without a copy
+    per certificate and without one caller's change reaching the next.
+    """
+    if isinstance(obj, dict):
+        return _ReadOnlyDict((k, read_only(v)) for k, v in obj.items())
+    if isinstance(obj, list):
+        return _ReadOnlyList(read_only(v) for v in obj)
+    return obj
+
+
 class InternalInconsistencyError(Exception):
     """A criterion excluded a dimension for which a witness is known."""
 

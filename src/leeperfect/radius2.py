@@ -26,10 +26,12 @@ from typing import Optional
 import numpy as np
 
 from . import nt
-from .fields import build_field, frobenius, in_prime_subfield, trace_to_prime
+from .fields import (
+    build_field, exact_order_element, frobenius, in_prime_subfield, trace_to_prime,
+)
 from .nt import INFINITY, BudgetExceeded
 from .orbitfield import CosineField
-from .outcomes import Caps, CriterionOutcome, DEFAULT_CAPS, Status, Tier
+from .outcomes import Caps, CriterionOutcome, DEFAULT_CAPS, Status, Tier, read_only
 
 
 def order_r2(n: int) -> int:
@@ -225,14 +227,34 @@ def _generates_full_unit_group(gens: list[int], v: int, vfac: nt.Factorization) 
     return True
 
 
-def lambda_value(n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS) -> LambdaCertificate:
+def lambda_chain(v: int, p: int, vfac: nt.Factorization):
     """The gcd invariant of the pair (v, p): the largest r dividing p^l - 1
     and every difference 2^i - p^j over exponent pairs with 2^i = p^j mod v.
 
     Computed from the three generating pairs (h2, 0), (0, hp), (i0, j0) of
     the pair lattice, reducing each difference modulo the running gcd so no
     integer with exponent-many digits is ever materialized beyond p^l - 1.
+    Returns (h2, hp, l, i0, j0, lambda); j0 is None when 2^i0 lies outside
+    <p>, and lambda is then only an upper bound.  vfac factors v - 1.
     """
+    h2 = nt.mult_order(2, v, vfac)
+    hp = nt.mult_order(p, v, vfac)
+    l = hp // 2 if (hp % 2 == 0 and pow(p, hp // 2, v) == v - 1) else hp
+    M = p**l - 1
+    if M > 1:
+        M = math.gcd(M, pow(2, h2, M) - 1)
+    if M > 1:
+        M = math.gcd(M, pow(p, hp, M) - 1)
+    i0 = (v - 1) // hp
+    j0 = nt.discrete_log(p, pow(2, i0, v), v, hp)
+    if j0 is not None and M > 1:
+        M = math.gcd(M, (pow(2, i0, M) - pow(p, j0, M)) % M)
+    return h2, hp, l, i0, j0, M
+
+
+def lambda_value(n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS) -> LambdaCertificate:
+    """lambda_chain for a pair (v, p) of dimension n, with the hypothesis
+    flags and the coefficient data m, m1, m2 of the criterion."""
     order = order_r2(n)
     if order % v != 0:
         raise ValueError(f"{v} does not divide the order {order}")
@@ -242,10 +264,8 @@ def lambda_value(n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS) -> LambdaCer
     m = order // v
     m1 = m % p
     m2 = (2 * m) % p
-    h2 = nt.mult_order(2, v, vfac)
-    hp = nt.mult_order(p, v, vfac)
+    h2, hp, l, i0, j0, M = lambda_chain(v, p, vfac)
     f = hp
-    l = f // 2 if (f % 2 == 0 and pow(p, f // 2, v) == v - 1) else f
     d = (v - 1) // f
     # rho is the residue of the one reconstructed coefficient whose character
     # argument collapses to 1; the unity-candidate contradiction needs the
@@ -257,15 +277,6 @@ def lambda_value(n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS) -> LambdaCer
         "coefficient_bound_m2_sharp": 2 * n + 1 < (v - 1) * m2 + rho,
         "two_and_p_generate": _generates_full_unit_group([2 % v, p % v], v, vfac),
     }
-    M = p**l - 1
-    if M > 1:
-        M = math.gcd(M, pow(2, h2, M) - 1)
-    if M > 1:
-        M = math.gcd(M, pow(p, hp, M) - 1)
-    i0 = (v - 1) // hp
-    j0 = nt.discrete_log(p, pow(2, i0, v), v, hp)
-    if j0 is not None and M > 1:
-        M = math.gcd(M, (pow(2, i0, M) - pow(p, j0, M)) % M)
     if j0 is None:
         # 2^i0 outside <p>: the pair (i0, j0) does not exist, which can only
         # happen when the generation hypothesis fails; the chain value is
@@ -353,31 +364,6 @@ def _field_ctx(p: int, f: int, seed: int, max_degree: int):
     return build_field(p, f, seed=seed, max_degree=max_degree)
 
 
-def _exact_order_root(ctx, N: int, seed: int):
-    """One element of exact multiplicative order N."""
-    prime_divs = [q for q, _ in nt.factorize(N, seed=seed).factors]
-    cofactor = (ctx.order - 1) // N
-    rng = nt.seeded_rng(seed, "unity-gen", ctx.p, ctx.f, N)
-    while True:
-        g = ctx.random_element(rng)
-        if not g:
-            continue
-        w = g**cofactor
-        if all((w ** (N // q)) != ctx.one() for q in prime_divs):
-            return w
-
-
-def _batch_mul(A: np.ndarray, B: np.ndarray, red: np.ndarray, p: int, f: int) -> np.ndarray:
-    """Row-wise field products of (N, f) coefficient arrays."""
-    if f == 1:
-        return A * B % p
-    n_rows = A.shape[0]
-    conv = np.zeros((n_rows, 2 * f - 1), dtype=np.int64)
-    for i in range(f):
-        conv[:, i : i + f] += A[:, i : i + 1] * B
-    return (conv[:, :f] + conv[:, f:] @ red) % p
-
-
 def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
     """theta for every possible product x*y at once.
 
@@ -391,14 +377,12 @@ def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
     W = np.zeros((N, f), dtype=np.int64)
     W[0, 0] = 1
     if N > 1:
-        W[1] = np.array(w.coeffs, dtype=np.int64)
+        W[1] = w.row()
     size = 2
     while size < N:  # doubling blocks: W[size + j] = w^size * w^j
         block = min(size, N - size)
-        w_size = _batch_mul(W[size - 1][None, :], W[1][None, :], ctx._red, p, f)[0]
-        W[size : size + block] = _batch_mul(
-            W[:block], np.broadcast_to(w_size, (block, f)), ctx._red, p, f
-        )
+        w_size = ctx.mul(W[size - 1 : size], W[1:2])
+        W[size : size + block] = ctx.mul(W[:block], w_size)
         size += block
     idx = np.arange(N, dtype=np.int64)
     if mode == "power_sum":
@@ -470,7 +454,7 @@ def field_check(
             params={**params, "f": f},
         )
     ctx = _field_ctx(p, f, caps.seed, caps.max_field_degree)
-    w = _exact_order_root(ctx, N, caps.seed)
+    w = exact_order_element(ctx, N, nt.seeded_rng(caps.seed, "unity-gen", p, f, N))
     # the lambda-th roots lie in the subfield fixed by Frobenius^l
     x_gen = w ** (N // lam)
     assert frobenius(x_gen, lam_cert.l) == x_gen, "lambda-th root escaped F_{p^l}"
@@ -589,7 +573,6 @@ def _orbit_r2_class(v: int, p: int, n_mod_p: int) -> dict:
     survivors = np.concatenate(surv_rows) if surv_rows else np.zeros((0, F.deg), dtype=np.int64)
 
     records = []
-    inv_v = pow(v, -1, p)
     for row in survivors:
         tau = row[None, :]
         values = {1: tau}
@@ -601,15 +584,7 @@ def _orbit_r2_class(v: int, p: int, n_mod_p: int) -> dict:
             c2, cp = F.pm_class(2 * c), F.pm_class(p * c)
             assert np.array_equal(values[c2], chain_step(values[c]))
             assert np.array_equal(values[cp], F.frob(values[c]))
-        # reconstructed coefficients a_g, g = 0..v-1
-        a = np.zeros((v, F.deg), dtype=np.int64)
-        for g in range(v):
-            acc = F.scalar_vec(two_n1)[None, :].copy()
-            for j in range(1, half + 1):
-                acc = (acc + F.mul(values[j], F.cosines[j * g % v][None, :])) % p
-            a[g] = acc[0] * inv_v % p
-        assert not a[:, 1:].any(), "reconstructed coefficient left the prime subfield"
-        assert a[:, 0].sum() % p == two_n1, "coefficient sum mismatch"
+        point_value = F.coefficients(values, two_n1)[0]
         # classification against the two quadratic factors
         sq = F.square(tau)[0]
         q1 = (sq - row) % p
@@ -622,7 +597,6 @@ def _orbit_r2_class(v: int, p: int, n_mod_p: int) -> dict:
             kind = "quadratic_factor_2"
         else:
             kind = "other"
-        point_value = int(a[0, 0])
         records.append({
             "tau": [int(c) for c in row],
             "class": kind,
@@ -632,14 +606,14 @@ def _orbit_r2_class(v: int, p: int, n_mod_p: int) -> dict:
     unexplained = [
         r for r in records if r["class"] == "other" and r["principal_point_ok"]
     ]
-    return {
+    return read_only({
         "v": v, "p": p, "n_mod_p": n_mod_p,
         "candidates_scanned": total,
         "survivors": records,
         "survivor_count": len(records),
         "unexplained": unexplained,
         "expected_coefficient_sum": two_n1,
-    }
+    })
 
 
 def orbit_check(

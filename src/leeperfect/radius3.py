@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-import numpy as np
 
 from . import nt
 from .orbitfield import CosineField
-from .outcomes import Caps, CriterionOutcome, DEFAULT_CAPS, Status, Tier
+from .outcomes import Caps, CriterionOutcome, DEFAULT_CAPS, Status, Tier, read_only
 
 
 def order_r3(n: int) -> int:
@@ -133,26 +132,17 @@ def _orbit_r3_class(v: int, p: int, n_mod_p: int) -> dict:
     ok = ~cubic(t1, t2, t3).any(axis=1)
     survivors = tau[ok]
     records = []
-    inv_v = pow(v, -1, p)
     for row in survivors:
         one = row[None, :]
         vals = {cls: F.frob(one, e) for cls, e in exp_of_class.items()}
         for a, b, c3 in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             assert not cubic(vals[a], vals[b], vals[c3]).any(), "cubic system broke cyclicity"
-        a_coeffs = np.zeros((v, F.deg), dtype=np.int64)
-        for g in range(v):
-            acc = F.scalar_vec(two_n1)[None, :].copy()
-            for j in range(1, half + 1):
-                acc = (acc + F.mul(vals[j], F.cosines[j * g % v][None, :])) % p
-            a_coeffs[g] = acc[0] * inv_v % p
-        assert not a_coeffs[:, 1:].any(), "reconstructed coefficient left the prime subfield"
-        assert a_coeffs[:, 0].sum() % p == two_n1, "coefficient sum mismatch"
+        point_value = F.coefficients(vals, two_n1)[0]
         # trivial factor tau (tau^2 + 3 tau - 6n + 2)
         sq = F.square(one)[0]
         triv_quad = (sq + 3 * row) % p
         triv_quad[0] = (triv_quad[0] - (six_n - 2)) % p
         is_trivial = (not row.any()) or (not triv_quad.any())
-        point_value = int(a_coeffs[0, 0])
         records.append({
             "tau": [int(x) for x in row],
             "class": "trivial_factor" if is_trivial else "other",
@@ -163,7 +153,7 @@ def _orbit_r3_class(v: int, p: int, n_mod_p: int) -> dict:
         r for r in records if r["class"] == "other" and r["principal_point_ok"]
     ]
     nontrivial = [r for r in records if r["class"] == "other"]
-    return {
+    return read_only({
         "v": v, "p": p, "n_mod_p": n_mod_p,
         "candidates_scanned": F.size,
         "survivors": records,
@@ -172,7 +162,7 @@ def _orbit_r3_class(v: int, p: int, n_mod_p: int) -> dict:
         "nontrivial_point_values": sorted({r["principal_point_value"] for r in nontrivial}),
         "unexplained": unexplained,
         "expected_coefficient_sum": two_n1,
-    }
+    })
 
 
 def orbit_check_r3(

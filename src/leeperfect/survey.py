@@ -11,12 +11,14 @@ attribution table.  Reports serialize to JSON (full certificates) or CSV
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -185,7 +187,7 @@ def check(
                     elif lam_out.excluded and early_exit:
                         return done()
                     if "field" in selected and lam_out.status is Status.UNDECIDED:
-                        cert = radius2.lambda_value(n, v, p, caps)
+                        cert = radius2.LambdaCertificate(**lam_out.certificate)
                         f_out = run("field", radius2.field_check, n, v, p, caps, cert)
                         if f_out.excluded and early_exit:
                             return done()
@@ -308,16 +310,18 @@ def reproduce_table(caps: Caps = DEFAULT_CAPS,
     agreements, disagreements, cap_skips = [], [], []
     attribution_mismatches = []
     open_set = set()
+    compared = []
     for v in verdicts:
         if not 3 <= v.n <= 100:
+            compared.append(v)
             continue
         expected = ATTRIBUTION[v.n]
         if v.skips():
             cap_skips.append(v.n)
         external = (v.n, 2) in EXTERNAL_REGISTRY
-        if external:
-            v.overall = "externally_known"
-            v.citation = EXTERNAL_REGISTRY[(v.n, 2)]
+        if external:  # a relabelled copy; the caller's verdict stays as it was
+            v = replace(v, overall="externally_known", citation=EXTERNAL_REGISTRY[(v.n, 2)])
+        compared.append(v)
         expected_excluded = "open" not in expected and not external
         actually_excluded = bool(v.fired())
         row_ok = (actually_excluded == expected_excluded) if not external else not actually_excluded
@@ -338,7 +342,7 @@ def reproduce_table(caps: Caps = DEFAULT_CAPS,
                 })
     return TableComparison(
         agreements, disagreements, sorted(cap_skips), open_set,
-        attribution_mismatches, list(verdicts),
+        attribution_mismatches, compared,
     )
 
 
@@ -357,7 +361,8 @@ def emit(verdicts: Sequence[Verdict], fmt: str, caps: Caps = DEFAULT_CAPS,
             "version": VERSION,
             "verdicts": [v.to_json(include_timing) for v in verdicts],
         }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        with _unlimited_int_digits():
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -378,8 +383,21 @@ def emit(verdicts: Sequence[Verdict], fmt: str, caps: Caps = DEFAULT_CAPS,
     return text
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int/str digit limit (4300 by default): lambda
+    certificates for p = 2 hold 2^l - 1, which passes it from n = 505 on."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def parse_report(text: str) -> tuple[Caps, list[Verdict]]:
-    doc = json.loads(text)
+    with _unlimited_int_digits():
+        doc = json.loads(text)
     return Caps.from_json(doc["caps"]), [Verdict.from_json(d) for d in doc["verdicts"]]
 
 

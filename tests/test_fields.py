@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leeperfect import nt
 from leeperfect.fields import (
+    FieldCtx,
     build_field,
     frobenius,
     in_prime_subfield,
@@ -9,6 +12,7 @@ from leeperfect.fields import (
     trace_to_prime,
 )
 from leeperfect.nt import BudgetExceeded
+from leeperfect.orbitfield import CosineField
 
 
 def test_build_field_sizes():
@@ -143,3 +147,74 @@ def test_cross_context_is_error():
         _ = a.one() + b.one()
     with pytest.raises(ValueError):
         _ = a.one() * b.gen()
+
+
+# -- the shared F_p[x]/(m) kernel ------------------------------------------------
+
+# degree 1 twice (f = 1, and v = 3 where y = -1), two extension fields, and
+# the cosine fields of the (13, 11), (17, 3) and (7, 5) orbit searches
+_RINGS = [build_field(7, 1), CosineField(5, 3), build_field(5, 3, seed=1),
+          build_field(3, 8, seed=2)] + [CosineField(p, v) for v, p in ((13, 11), (17, 3), (7, 5))]
+
+
+def _as_field(ring) -> FieldCtx:
+    """FieldElements over the same modulus (Psi_v stays irreducible mod p)."""
+    return ring if isinstance(ring, FieldCtx) else FieldCtx(ring.p, ring.modulus)
+
+
+_FIELDS = [_as_field(ring) for ring in _RINGS]
+
+
+def _schoolbook(a, b, modulus, p):
+    """Product mod (modulus, p) by plain convolution and long division."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    d = len(modulus) - 1
+    for top in range(len(prod) - 1, d - 1, -1):
+        lead = prod[top]
+        for k in range(d + 1):
+            prod[top - d + k] -= lead * modulus[k]
+    return [c % p for c in prod[:d]]
+
+
+@st.composite
+def _operands(draw):
+    i = draw(st.integers(0, len(_RINGS) - 1))
+    ring = _RINGS[i]
+    rows = draw(st.integers(2, 5))
+    elt = st.lists(st.integers(0, ring.p - 1), min_size=ring.deg, max_size=ring.deg)
+    A, B = (np.array(draw(st.lists(elt, min_size=rows, max_size=rows)), dtype=np.int64)
+            for _ in range(2))
+    return ring, _FIELDS[i], A, B
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operands())
+def test_kernel_batched_mul_matches_single_row_and_field_elements(ops):
+    ring, F, A, B = ops
+    batched = ring.mul(A, B)
+    for a, b, c in zip(A, B, batched):
+        assert np.array_equal(ring.mul(a[None, :], b[None, :])[0], c)
+        assert (F.element(a) * F.element(b)).coeffs == tuple(c.tolist())
+        assert _schoolbook(a.tolist(), b.tolist(), ring.modulus, ring.p) == c.tolist()
+    # a one-row operand broadcasts against the batch
+    assert np.array_equal(ring.mul(A[:1], B), ring.mul(np.repeat(A[:1], len(B), axis=0), B))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_operands(), st.integers(0, 9))
+def test_kernel_frobenius_is_the_p_power(ops, e):
+    ring, F, A, _ = ops
+    for a, fa in zip(A, ring.frob(A, e)):
+        assert (F.element(a) ** ring.p**e).coeffs == tuple(fa.tolist())
+        assert np.array_equal(ring.pow(a, ring.p**e), fa)
+
+
+@pytest.mark.parametrize("i", range(len(_RINGS)))
+def test_kernel_trace_is_the_frobenius_sum(i):
+    ring = _RINGS[i]
+    total = sum(ring.frob_matrix(k) for k in range(ring.deg)) % ring.p
+    assert np.array_equal(ring.trace_matrix(), total)
+    assert np.array_equal(ring.frob_matrix(ring.deg), np.eye(ring.deg, dtype=np.int64))

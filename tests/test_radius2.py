@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import pytest
@@ -68,27 +69,13 @@ def test_lambda_hypothesis_gates():
 
 
 def test_lambda_formula_matches_bruteforce_sample():
-    import math
-
     checked = 0
     for v in (13, 17, 29, 37, 41, 53, 61, 73, 89, 97):
         vfac = nt.factorize(v - 1)
         for p in (3, 5, 7, 11, 13):
             if p == v or not radius2._generates_full_unit_group([2, p % v], v, vfac):
                 continue
-            h2 = nt.mult_order(2, v, vfac)
-            hp = nt.mult_order(p, v, vfac)
-            f = hp
-            l = f // 2 if (f % 2 == 0 and pow(p, f // 2, v) == v - 1) else f
-            M = p**l - 1
-            if M > 1:
-                M = math.gcd(M, pow(2, h2, M) - 1)
-            if M > 1:
-                M = math.gcd(M, pow(p, hp, M) - 1)
-            i0 = (v - 1) // hp
-            j0 = nt.discrete_log(p, pow(2, i0, v), v, hp)
-            if j0 is not None and M > 1:
-                M = math.gcd(M, (pow(2, i0, M) - pow(p, j0, M)) % M)
+            M = radius2.lambda_chain(v, p, vfac)[-1]
             assert M == radius2.lambda_bruteforce(v, p), (v, p)
             checked += 1
     assert checked >= 20
@@ -178,3 +165,15 @@ def test_orbit_13_11_empty_classes_unconditional():
 def test_orbit_generic_instances_gated():
     with pytest.raises(ValueError):
         radius2.orbit_check(23, 13, p=7)  # non-default companion needs the flag
+
+
+def test_orbit_certificate_cannot_change_the_cached_class():
+    first = radius2.orbit_check(23, 17)
+    snapshot = copy.deepcopy(first.certificate)
+    with pytest.raises(TypeError):
+        first.certificate["survivors"].append({"tau": "tampered"})
+    with pytest.raises(TypeError):
+        first.certificate["survivors"][0]["class"] = "tampered"
+    first.certificate["survivor_count"] = -1  # the top level is the caller's own
+    again = radius2.orbit_check(23, 17).certificate
+    assert again == snapshot and type(snapshot["survivors"]) is list

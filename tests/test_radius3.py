@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from leeperfect import nt, radius3
@@ -118,3 +120,14 @@ def test_orbit_r3_depends_only_on_class():
 def test_orbit_r3_generic_gated():
     with pytest.raises(ValueError):
         radius3.orbit_check_r3(8, v=23, p=5)
+
+
+def test_orbit_r3_certificate_cannot_change_the_cached_class():
+    n = _first_qualifying(1)
+    first = radius3.orbit_check_r3(n)
+    snapshot = copy.deepcopy(first.certificate)
+    with pytest.raises(TypeError):
+        first.certificate["survivors"][0]["tau"].append(0)
+    with pytest.raises(TypeError):
+        first.certificate["nontrivial_point_values"] += [99]
+    assert radius3.orbit_check_r3(n).certificate == snapshot

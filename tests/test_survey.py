@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from leeperfect import survey
+from leeperfect import cli, radius2, survey
 from leeperfect.outcomes import Caps, InternalInconsistencyError, Status, Tier
-from leeperfect.survey import Verdict, check, counts, emit, parse_report, scan
+from leeperfect.survey import R2_CRITERIA, Verdict, check, counts, emit, parse_report, scan
 
 
 def test_check_examples():
@@ -157,3 +157,53 @@ def test_cli_strict_skip_with_small_caps(tmp_path):
     res = _run_cli("check", "--r", "2", "--n", "14", "--format", "csv",
                    "--strict", "--caps", str(caps))
     assert res.returncode == 3
+
+
+def test_emit_parse_roundtrip_past_the_int_digit_limit():
+    # the p = 2 lambda certificate at n = 505 holds 2^l - 1, over 4300 digits
+    limit = sys.get_int_max_str_digits()
+    v = check(505, 2, criteria=R2_CRITERIA[:4])
+    assert any(o.certificate.get("lam", 0).bit_length() > 14_300 for o in v.outcomes)
+    caps, parsed = parse_report(emit([v], "json"))
+    assert parsed == [v]
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_check_computes_lambda_once_per_pair(monkeypatch):
+    calls = []
+    real = radius2.lambda_value
+
+    def counted(*args):
+        calls.append(args[:3])
+        return real(*args)
+
+    monkeypatch.setattr(radius2, "lambda_value", counted)
+    v = check(14, 2, criteria=["lambda", "field"])
+    assert "field" in v.fired()
+    assert len(calls) == sum(o.criterion == "lambda" for o in v.outcomes) == 2
+
+
+def test_reproduce_table_leaves_caller_verdicts_alone():
+    verdicts = scan(2, 3, 10, early_exit=False, criteria=["kim", "small_v"])
+    before = [v.to_json() for v in verdicts]
+    cmp = survey.reproduce_table(verdicts=verdicts)
+    assert [v.to_json() for v in verdicts] == before
+    relabelled = {v.n: v for v in cmp.verdicts}
+    assert [v.n for v in cmp.verdicts] == [v.n for v in verdicts]
+    for n in (3, 10):
+        assert relabelled[n].overall == "externally_known" and relabelled[n].citation
+
+
+@pytest.mark.parametrize("bad", ["missing_caps", "malformed_caps", "zero_threads"])
+def test_cli_bad_input_is_a_usage_error(tmp_path, bad):
+    malformed = tmp_path / "caps.txt"
+    malformed.write_text("seed = lots\n")
+    extra = {
+        "missing_caps": ["--caps", str(tmp_path / "absent.txt")],
+        "malformed_caps": ["--caps", str(malformed)],
+        "zero_threads": ["--threads", "0"],
+    }[bad]
+    res = _run_cli("check", "--r", "2", "--n", "4", "--format", "csv", *extra)
+    assert res.returncode == cli.EXIT_USAGE
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
