@@ -191,6 +191,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InternalInconsistencyError as e:
         print(f"internal inconsistency: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except (OSError, ValueError) as e:  # out-of-range arguments, unwritable --out
+        print(f"leeperfect: {e}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_USAGE
 
 

@@ -10,11 +10,17 @@ the paired powers zeta^k + zeta^-k needed by the inversion formula are plain
 polynomial expressions in the generator y.  No embedding into F_{p^(v-1)} is
 ever required.
 
+Primitivity also fixes every class value by the one at class 1: Frobenius
+sends class c to class pc, and the powers p^e (e < deg) meet each +- class
+once, so the value at the class of p^e is tau^(p^e).  A projected equation
+at any class is then the Frobenius image of the one at class 1, and a
+search needs only that one equation in tau.
+
 CosineField is a fields.PolyModRing with modulus Psi_v mod p: every
 candidate-level operation is the shared batched kernel on (N, deg) integer
-arrays, so a full enumeration of F_{11^6} (about 1.8M candidates) runs in
-seconds.  On top of the kernel it adds only the paired powers, the candidate
-enumeration and the inversion back to the coefficients a_g.
+arrays, so a full scan of F_{11^6} (about 1.8M candidates) runs in seconds.
+On top of the kernel it adds the paired powers, the class values, the
+chunked root scan and the inversion back to the coefficients a_g.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ import numpy as np
 
 from . import nt
 from .fields import PolyModRing
+
+_CHUNK = 1 << 18  # candidates per batch of the root scan
 
 
 def cosine_min_poly(v: int) -> list[int]:
@@ -66,6 +74,22 @@ class CosineField(PolyModRing):
             cos.append((self.mul(cos[k - 1], y) - cos[k - 2]) % p)
         assert np.array_equal(cos[v], cos[0]), "cosine recursion failed to close"
         self.cosines = np.concatenate(cos[:v])
+        # frob_exponent[c] = e with class(p^e) = c, so the value at c is tau^(p^e)
+        self.frob_exponent = {self.pm_class(pow(p, e, v)): e for e in range(self.deg)}
+        assert len(self.frob_exponent) == self.deg, "Frobenius missed a class"
+
+    def class_values(self, A: np.ndarray) -> dict:
+        """Values at every +- class c = 1..deg of the class-1 values A."""
+        return {c: self.frob(A, e) for c, e in self.frob_exponent.items()}
+
+    def roots(self, residual) -> np.ndarray:
+        """Every tau (as a digit row, in enumeration order) where the batched
+        residual(tau) is all zero, by a chunked scan of the whole field."""
+        found = []
+        for start in range(0, self.size, _CHUNK):
+            tau = self.enumerate(start, min(start + _CHUNK, self.size))
+            found.append(tau[~residual(tau).any(axis=1)])
+        return np.concatenate(found)
 
     def coefficients(self, values: dict, total: int) -> list[int]:
         """Inversion a_g = (total + sum_j values[j] * c_(jg)) / v, g = 0..v-1,

@@ -11,9 +11,12 @@ Four families, all deciding properties of the group order 2n^2 + 2n + 1:
   character-orbit sums theta(x, y) when lambda is nondegenerate.
 * orbit_check - exhaustive search over chi(T) mod p for the instances
   (v, p) = (13, 11) and (17, 3), reproducing the published machine
-  computation: chain and Frobenius consistency, integrality of the
-  reconstructed coefficients, the reconstruction value at the principal
-  point, and classification of survivors against the two quadratic factors.
+  computation: the class values are the Frobenius images of tau = V(1), so
+  the one projected equation V(2) = 2n - V(1)^2 selects the candidates and
+  every chain and Frobenius edge is re-asserted on each survivor; then
+  integrality of the reconstructed coefficients, the reconstruction value
+  at the principal point, and classification of survivors against the two
+  quadratic factors.
 """
 
 from __future__ import annotations
@@ -513,74 +516,29 @@ def field_check(
 
 ORBIT_INSTANCES = {13: 11, 17: 3}  # v -> validated companion prime p
 
-_CHUNK = 1 << 18
-
-
-def _orbit_plan(F: CosineField):
-    """Spanning-tree assignment of the +- classes from class 1 under the two
-    maps j -> 2j (chain step) and j -> pj (Frobenius), plus the consistency
-    edges that must be re-checked on every candidate."""
-    v, p = F.v, F.p
-    half = (v - 1) // 2
-    parent: dict[int, tuple[int, str]] = {1: (1, "root")}
-    tree_order = [1]
-    queue = [1]
-    consistency = []
-    while queue:
-        c = queue.pop(0)
-        for op, nc in (("chain", F.pm_class(2 * c)), ("frob", F.pm_class(p * c))):
-            if nc == 0:
-                continue
-            if nc not in parent:
-                parent[nc] = (c, op)
-                tree_order.append(nc)
-                queue.append(nc)
-            else:
-                consistency.append((c, op, nc))
-    assert set(parent) == set(range(1, half + 1)), "classes not all reached"
-    return parent, tree_order, consistency
-
 
 @lru_cache(maxsize=None)
 def _orbit_r2_class(v: int, p: int, n_mod_p: int) -> dict:
     """Class-level exhaustive search; depends on n only through n mod p."""
     F = CosineField(p, v)
-    parent, tree_order, consistency = _orbit_plan(F)
     two_n = 2 * n_mod_p % p
     two_n1 = (2 * n_mod_p + 1) % p
-    half = (v - 1) // 2
+    e2 = F.frob_exponent[F.pm_class(2)]
 
     def chain_step(A):
         out = (-F.square(A)) % p
         out[:, 0] = (out[:, 0] + two_n) % p
         return out
 
-    surv_rows = []
-    total = F.size
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        tau = F.enumerate(start, stop)
-        values = {1: tau}
-        for c in tree_order[1:]:
-            par, op = parent[c]
-            values[c] = chain_step(values[par]) if op == "chain" else F.frob(values[par])
-        ok = np.ones(stop - start, dtype=bool)
-        for c, op, nc in consistency:
-            expect = chain_step(values[c]) if op == "chain" else F.frob(values[c])
-            ok &= np.all(expect == values[nc], axis=1)
-        if ok.any():
-            surv_rows.append(tau[ok])
-    survivors = np.concatenate(surv_rows) if surv_rows else np.zeros((0, F.deg), dtype=np.int64)
-
+    # the chain step at class 1, V(2) = 2n - V(1)^2; its Frobenius images are
+    # the chain steps at the other classes, re-asserted on survivors below
+    survivors = F.roots(lambda tau: F.frob(tau, e2) - chain_step(tau))
     records = []
     for row in survivors:
         tau = row[None, :]
-        values = {1: tau}
-        for c in tree_order[1:]:
-            par, op = parent[c]
-            values[c] = chain_step(values[par]) if op == "chain" else F.frob(values[par])
+        values = F.class_values(tau)
         # re-verify the construction invariants V(2j) = 2n - V(j)^2, V(pj) = V(j)^p
-        for c in range(1, half + 1):
+        for c in values:
             c2, cp = F.pm_class(2 * c), F.pm_class(p * c)
             assert np.array_equal(values[c2], chain_step(values[c]))
             assert np.array_equal(values[cp], F.frob(values[c]))
@@ -608,7 +566,7 @@ def _orbit_r2_class(v: int, p: int, n_mod_p: int) -> dict:
     ]
     return read_only({
         "v": v, "p": p, "n_mod_p": n_mod_p,
-        "candidates_scanned": total,
+        "candidates_scanned": F.size,
         "survivors": records,
         "survivor_count": len(records),
         "unexplained": unexplained,

@@ -111,30 +111,21 @@ def _orbit_r3_class(v: int, p: int, n_mod_p: int) -> dict:
     n_ = n_mod_p % p
     six_n = 6 * n_ % p
     two_n1 = (2 * n_ + 1) % p
-    half = (v - 1) // 2
-    # Frobenius exponents sending class 1 to each class: class(p^e) = c
-    exp_of_class = {1: 0}
-    c, e = 1, 0
-    while len(exp_of_class) < half:
-        c = F.pm_class(c * p)
-        e += 1
-        exp_of_class.setdefault(c, e)
-    tau = F.enumerate(0, F.size)
-    values = {cls: F.frob(tau, e) for cls, e in exp_of_class.items()}
-    # projected cubic at the generator class; its Frobenius images at the
-    # other classes hold automatically and are re-asserted on survivors
-    t1, t2, t3 = values[1], values[2], values[3]
 
     def cubic(a, b, c3):
-        out = (F.mul(F.square(a), a) + 3 * F.mul(b, a) + 2 * c3 - six_n * a) % p
-        return out
+        return (F.mul(F.square(a), a) + 3 * F.mul(b, a) + 2 * c3 - six_n * a) % p
 
-    ok = ~cubic(t1, t2, t3).any(axis=1)
-    survivors = tau[ok]
+    def cubic_at_1(tau):
+        # projected cubic at the generator class; its Frobenius images at the
+        # other classes hold automatically and are re-asserted on survivors
+        values = F.class_values(tau)
+        return cubic(values[1], values[2], values[3])
+
+    survivors = F.roots(cubic_at_1)
     records = []
     for row in survivors:
         one = row[None, :]
-        vals = {cls: F.frob(one, e) for cls, e in exp_of_class.items()}
+        vals = F.class_values(one)
         for a, b, c3 in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             assert not cubic(vals[a], vals[b], vals[c3]).any(), "cubic system broke cyclicity"
         point_value = F.coefficients(vals, two_n1)[0]

@@ -1,10 +1,14 @@
 import copy
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from leeperfect import nt, radius2
-from leeperfect.outcomes import Caps, Status, Tier
+from leeperfect.fields import exact_order_element
+from leeperfect.orbitfield import CosineField
+from leeperfect.outcomes import Caps, DEFAULT_CAPS, Status, Tier
 
 
 def test_kim_examples():
@@ -93,6 +97,27 @@ def test_theta_trivial_values():
     assert radius2.theta(one, one, 17, d, "trace") == d * 16 % 3
 
 
+@pytest.mark.parametrize("n, v, p, f, N, d, mode", [
+    (10, 13, 5, 4, 39, 3, "power_sum"), (55, 61, 11, 4, 183, 15, "power_sum"),
+    (535, 157, 107, 12, 471, 13, "trace"), (86, 73, 43, 24, 511, 3, "trace"),
+])
+def test_theta_table_matches_scalar_theta(n, v, p, f, N, d, mode):
+    # the same field and order-N element as field_check, every exponent k < N
+    cert = radius2.lambda_value(n, v, p)
+    assert (cert.f, cert.lam * v // math.gcd(cert.lam, v), cert.d) == (f, N, d)
+    assert mode == ("power_sum" if cert.h2 == v - 1 else "trace")
+    caps = DEFAULT_CAPS
+    ctx = radius2._field_ctx(p, f, caps.seed, caps.max_field_degree)
+    w = exact_order_element(ctx, N, nt.seeded_rng(caps.seed, "unity-gen", p, f, N))
+    residues, in_fp = radius2._theta_tables(ctx, w, N, v, d, mode)
+    one = x = ctx.one()
+    for k in range(N):  # x = w^k
+        expect = radius2.theta(x, one, v, d, mode)
+        assert bool(in_fp[k]) == (expect is not None), k
+        assert expect is None or int(residues[k]) == expect, k
+        x = x * w
+
+
 def test_field_check_n14_excludes():
     out = radius2.field_check(14, 421, 7)
     assert out.status is Status.EXCLUDED and out.tier is Tier.UNCONDITIONAL
@@ -177,3 +202,41 @@ def test_orbit_certificate_cannot_change_the_cached_class():
     first.certificate["survivor_count"] = -1  # the top level is the caller's own
     again = radius2.orbit_check(23, 17).certificate
     assert again == snapshot and type(snapshot["survivors"]) is list
+
+
+def _orbit_r2_reference(v, p, n_mod_p):
+    """All-edges reference: every candidate tau = V(1), the value at the class
+    of p^(e+1) the p-th power of the one at p^e (by repeated multiplication),
+    kept iff V(2c) = 2n - V(c)^2 and V(pc) = V(c)^p hold at every class c."""
+    F = CosineField(p, v)
+    tau = F.enumerate(0, F.size)
+
+    def pth_power(A):
+        out = A
+        for _ in range(p - 1):
+            out = F.mul(out, A)
+        return out
+
+    values, c, vc = {}, 1, tau
+    for _ in range(F.deg):
+        values[c] = vc
+        c, vc = F.pm_class(p * c), pth_power(vc)
+    assert sorted(values) == list(range(1, F.deg + 1))
+    two_n = F.scalar_vec(2 * n_mod_p)[None, :]
+    ok = np.ones(F.size, dtype=bool)
+    for c, vc in values.items():
+        ok &= (values[F.pm_class(2 * c)] == (two_n - F.square(vc)) % p).all(axis=1)
+        ok &= (values[F.pm_class(p * c)] == pth_power(vc)).all(axis=1)
+    return tau[ok].tolist()
+
+
+@pytest.mark.parametrize("n_mod_p", range(3))
+def test_orbit_17_3_survivors_match_all_edges_reference(n_mod_p):
+    cls = radius2._orbit_r2_class(17, 3, n_mod_p)
+    assert cls["candidates_scanned"] == 3**8 == 6561
+    assert [r["tau"] for r in cls["survivors"]] == _orbit_r2_reference(17, 3, n_mod_p)
+
+
+def test_orbit_13_11_survivor_counts_per_class():
+    counts = [radius2._orbit_r2_class(13, 11, c)["survivor_count"] for c in range(11)]
+    assert counts == [10, 11, 11, 4, 6, 3, 2, 0, 2, 0, 2]

@@ -194,16 +194,22 @@ def test_reproduce_table_leaves_caller_verdicts_alone():
         assert relabelled[n].overall == "externally_known" and relabelled[n].citation
 
 
-@pytest.mark.parametrize("bad", ["missing_caps", "malformed_caps", "zero_threads"])
-def test_cli_bad_input_is_a_usage_error(tmp_path, bad):
-    malformed = tmp_path / "caps.txt"
-    malformed.write_text("seed = lots\n")
-    extra = {
-        "missing_caps": ["--caps", str(tmp_path / "absent.txt")],
-        "malformed_caps": ["--caps", str(malformed)],
-        "zero_threads": ["--threads", "0"],
-    }[bad]
-    res = _run_cli("check", "--r", "2", "--n", "4", "--format", "csv", *extra)
+_CHECK_4 = ["check", "--r", "2", "--n", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(_CHECK_4 + ["--caps", "{tmp}/absent.txt"], id="missing_caps"),
+    pytest.param(_CHECK_4 + ["--caps", "{tmp}/caps.txt"], id="malformed_caps"),
+    pytest.param(_CHECK_4 + ["--threads", "0"], id="zero_threads"),
+    pytest.param(_CHECK_4 + ["--out", "{tmp}/absent/x.csv"], id="unwritable_out"),
+    pytest.param(["check", "--r", "2", "--n", "1"], id="n_below_range"),
+    pytest.param(["scan", "--r", "2", "--from", "10", "--to", "5"], id="empty_range"),
+    pytest.param(["orbit", "--r", "2", "--n", "23", "--v", "19"], id="orbit_no_companion"),
+    pytest.param(["orbit", "--r", "3", "--n", "8", "--v", "23"], id="orbit_r3_generic"),
+])
+def test_cli_bad_input_is_a_usage_error(tmp_path, argv):
+    (tmp_path / "caps.txt").write_text("seed = lots\n")
+    res = _run_cli(*(a.format(tmp=tmp_path) for a in argv), "--format", "csv")
     assert res.returncode == cli.EXIT_USAGE
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
