@@ -137,8 +137,7 @@ class FieldCtx(PolyModRing):
             powers[k] = cur
         if not np.array_equal(powers[f], x):
             return False
-        qs = _prime_divisors(f)
-        for q in qs:
+        for q in nt.factorize(f).primes():
             diff = (powers[f // q] - x) % p
             if not diff.any():
                 return False
@@ -251,10 +250,13 @@ def build_field(p: int, f: int, seed: int = 0, max_degree: int = DEFAULT_MAX_DEG
     if f == 1:
         return FieldCtx(p, (0, 1))
     rng = seeded_rng(seed, "field-modulus", p, f)
+    # a root in F_p makes a degree f >= 2 modulus reducible; the p-point scan
+    # (about f p operations) is cheaper than Rabin's test while p <= f^2
+    scan_roots = p <= f * f
     while True:
         coeffs = [rng.randrange(p) for _ in range(f)] + [1]
-        if coeffs[0] == 0:
-            continue
+        if coeffs[0] == 0 or (scan_roots and _has_root(coeffs, p)):
+            continue  # reducible, and skipping it keeps the rng stream
         try:
             return FieldCtx(p, coeffs)
         except ValueError:
@@ -321,18 +323,14 @@ def exact_order_element(ctx: FieldCtx, k: int, rng) -> FieldElement:
 # -- internal helpers -----------------------------------------------------------
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _has_root(coeffs: list[int], p: int) -> bool:
+    """Whether the polynomial (coefficients from the constant term up) has a
+    root in F_p, by Horner over all p points at once."""
+    x = np.arange(p, dtype=np.int64)
+    val = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        val = (val * x + c) % p
+    return not val.all()
 
 
 def _poly_gcd_degree(a: list[int], b: list[int], p: int) -> int:

@@ -30,7 +30,9 @@ import numpy as np
 from . import nt
 from .fields import PolyModRing
 
-_CHUNK = 1 << 18  # candidates per batch of the root scan
+# candidates per batch of the root scan; the kernel's temporaries on a batch
+# (a few (chunk, 2 deg - 1) int64 arrays) set the orbit search's peak memory
+_CHUNK = 1 << 16
 
 
 def cosine_min_poly(v: int) -> list[int]:

@@ -367,13 +367,40 @@ def _field_ctx(p: int, f: int, seed: int, max_degree: int):
     return build_field(p, f, seed=seed, max_degree=max_degree)
 
 
+def _orbit_sum(T: np.ndarray, L: int, p: int) -> np.ndarray:
+    """S(k) = sum of T[k * 2^i mod N] over i < L, mod p, for every k < N.
+
+    T is an (N,) or (N, f) table with entries in [0, p), L >= 1.  Binary
+    splitting S_{a+b}(k) = S_a(k) + S_b(k * 2^a mod N) walks the bits of L:
+    each bit doubles a (gather S itself) and a set bit adds one term (gather
+    T), so the sum takes at most 2 floor(log2 L) gathers instead of L - 1.
+    """
+    N = T.shape[0]
+    k = np.arange(N, dtype=np.int64)
+    S = T.copy()
+    a = 1
+    for bit in bin(L)[3:]:
+        S += S[k * pow(2, a, N) % N]  # S_{2a}(k) = S_a(k) + S_a(k * 2^a)
+        S %= p
+        a *= 2
+        if bit == "1":
+            S += T[k * pow(2, a, N) % N]  # S_{a+1}(k) = S_a(k) + T[k * 2^a]
+            S %= p
+            a += 1
+    return S
+
+
 def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
     """theta for every possible product x*y at once.
 
     x and y are both powers of the order-N element w (N = lcm(lambda, v)),
-    so theta(x, y) only depends on the w-exponent of x*y.  One (N, f) power
-    table plus index-doubling gathers tabulates theta over all N exponents;
-    afterwards each (x, y) pair is a single lookup.  Returns
+    so theta(x, y) only depends on the w-exponent of x*y.  The (N, f) power
+    table W[j] = w^j is built in doubling blocks, W[size + j] = W[j] @ M,
+    where M is the F_p-linear matrix of multiplication by w^size.  Each
+    theta value is then an orbit sum over the doubling orbit k * 2^i mod N,
+    of L = v - 1 rows of W (power sum) or of L = d entries of the trace
+    vector (trace), taken by binary splitting in O(log L) gathers.
+    Afterwards each (x, y) pair is a single lookup.  Returns
     (residues, in_prime_subfield) as N-vectors.
     """
     f, p = ctx.f, ctx.p
@@ -385,28 +412,18 @@ def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
     while size < N:  # doubling blocks: W[size + j] = w^size * w^j
         block = min(size, N - size)
         w_size = ctx.mul(W[size - 1 : size], W[1:2])
-        W[size : size + block] = ctx.mul(W[:block], w_size)
+        M = ctx.mul(np.eye(f, dtype=np.int64), w_size)
+        W[size : size + block] = W[:block] @ M % p
         size += block
-    idx = np.arange(N, dtype=np.int64)
     if mode == "power_sum":
-        acc = W.copy()  # i = 0 term: (xy)^(2^0)
-        cur = idx
-        for _ in range(v - 2):
-            cur = cur * 2 % N
-            acc = (acc + W[cur]) % p
+        acc = _orbit_sum(W, v - 1, p)
         residues = acc[:, 0]
         in_fp = ~acc[:, 1:].any(axis=1) if f > 1 else np.ones(N, dtype=bool)
         return residues, in_fp
     if mode == "trace":
         tr = W @ ctx.trace_matrix() % p
         assert not tr[:, 1:].any(), "trace left the prime subfield"
-        trv = tr[:, 0]
-        acc = trv.copy()
-        cur = idx
-        for _ in range(d - 1):
-            cur = cur * 2 % N
-            acc = (acc + trv[cur]) % p
-        return acc % p, np.ones(N, dtype=bool)
+        return _orbit_sum(tr[:, 0], d, p), np.ones(N, dtype=bool)
     raise ValueError(f"unknown theta mode {mode!r}")
 
 

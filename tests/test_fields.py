@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from leeperfect import nt
 from leeperfect.fields import (
     FieldCtx,
+    _has_root,
     build_field,
     frobenius,
     in_prime_subfield,
@@ -35,6 +36,42 @@ def test_build_field_deterministic():
 def test_degree_cap():
     with pytest.raises(BudgetExceeded):
         build_field(3, 90, max_degree=80)
+
+
+def _unfiltered_modulus(p, f, seed):
+    """build_field's search as it is without the root scan: every candidate
+    with a nonzero constant term goes to Rabin's test."""
+    rng = nt.seeded_rng(seed, "field-modulus", p, f)
+    while True:
+        coeffs = [rng.randrange(p) for _ in range(f)] + [1]
+        if coeffs[0] == 0:
+            continue
+        try:
+            return FieldCtx(p, coeffs).modulus
+        except ValueError:
+            continue
+
+
+# fields of the field check (seed 2024 is the default Caps.seed), a tiny one,
+# and (3001, 40), where p > f^2 leaves the root scan off
+@pytest.mark.parametrize("p, f, seed", [
+    (7, 70, 2024), (229, 80, 2024), (631, 67, 2024), (61, 71, 2024),
+    (2, 5, 0), (2, 5, 3), (5, 3, 4), (3001, 40, 1),
+])
+def test_build_field_root_scan_keeps_the_modulus(p, f, seed):
+    assert build_field(p, f, seed=seed).modulus == _unfiltered_modulus(p, f, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.data())
+def test_root_scan_rejects_only_reducible_moduli(p, data):
+    f = data.draw(st.integers(2, 8))
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)) + [1]
+    has_root = any(sum(c * x**i for i, c in enumerate(coeffs)) % p == 0 for x in range(p))
+    assert _has_root(coeffs, p) == has_root
+    if has_root:
+        with pytest.raises(ValueError):
+            FieldCtx(p, coeffs)
 
 
 @pytest.fixture(scope="module")

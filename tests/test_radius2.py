@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from leeperfect import nt, radius2
 from leeperfect.fields import exact_order_element
@@ -118,6 +120,37 @@ def test_theta_table_matches_scalar_theta(n, v, p, f, N, d, mode):
         x = x * w
 
 
+def _orbit_sum_linear(T, L, p):
+    """Reference for radius2._orbit_sum: the linear gather loop the theta
+    table ran before binary splitting, L - 1 gathers along k * 2^i mod N."""
+    N = T.shape[0]
+    acc = T.copy()
+    cur = np.arange(N, dtype=np.int64)
+    for _ in range(L - 1):
+        cur = cur * 2 % N
+        acc = (acc + T[cur]) % p
+    return acc
+
+
+@st.composite
+def _orbit_tables(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 61, 107]))
+    N = draw(st.integers(1, 90))
+    shape = draw(st.sampled_from([(N,), (N, 1), (N, 3)]))
+    T = draw(arrays(np.int64, shape, elements=st.integers(0, p - 1)))
+    L = draw(st.one_of(st.integers(1, 200), st.sampled_from([1, 2, 4, 8, 64, 128])))
+    return T, L, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_orbit_tables())
+def test_orbit_sum_matches_linear_reference(case):
+    T, L, p = case
+    before = T.copy()
+    assert np.array_equal(radius2._orbit_sum(T, L, p), _orbit_sum_linear(T, L, p))
+    assert np.array_equal(T, before)
+
+
 def test_field_check_n14_excludes():
     out = radius2.field_check(14, 421, 7)
     assert out.status is Status.EXCLUDED and out.tier is Tier.UNCONDITIONAL
@@ -135,6 +168,17 @@ def test_field_check_open_cases_stay_undecided():
     assert radius2.field_check(66, 29, 11).status is Status.UNDECIDED
     # externally-settled n=10 is not excluded by the field conditions either
     assert radius2.field_check(10, 13, 5).status is Status.UNDECIDED
+
+
+def test_field_check_n305_unity_order_38355():
+    # v = 2557, p = 61, f = 71, lambda = N = 38355: the largest theta table of
+    # scan 101..500.  The pinned values are what the linear-sum table gave
+    # (about 60 s for this one check); binary splitting takes a few seconds.
+    out = radius2.field_check(305, 2557, 61)
+    assert out.status is Status.UNDECIDED
+    cert = out.certificate
+    assert (cert["mode"], cert["f"], cert["unity_order"]) == ("power_sum", 71, 38355)
+    assert cert["passing"] == 38355
 
 
 def test_field_check_caps():
