@@ -250,13 +250,10 @@ def build_field(p: int, f: int, seed: int = 0, max_degree: int = DEFAULT_MAX_DEG
     if f == 1:
         return FieldCtx(p, (0, 1))
     rng = seeded_rng(seed, "field-modulus", p, f)
-    # a root in F_p makes a degree f >= 2 modulus reducible; the p-point scan
-    # (about f p operations) is cheaper than Rabin's test while p <= f^2
-    scan_roots = p <= f * f
     while True:
         coeffs = [rng.randrange(p) for _ in range(f)] + [1]
-        if coeffs[0] == 0 or (scan_roots and _has_root(coeffs, p)):
-            continue  # reducible, and skipping it keeps the rng stream
+        if _has_root(coeffs, p):
+            continue  # a root in F_p makes a degree f >= 2 modulus reducible
         try:
             return FieldCtx(p, coeffs)
         except ValueError:

@@ -52,8 +52,8 @@ def _unfiltered_modulus(p, f, seed):
             continue
 
 
-# fields of the field check (seed 2024 is the default Caps.seed), a tiny one,
-# and (3001, 40), where p > f^2 leaves the root scan off
+# fields of the field check (seed 2024 is the default Caps.seed), tiny ones,
+# and (3001, 40), a prime well above the degree
 @pytest.mark.parametrize("p, f, seed", [
     (7, 70, 2024), (229, 80, 2024), (631, 67, 2024), (61, 71, 2024),
     (2, 5, 0), (2, 5, 3), (5, 3, 4), (3001, 40, 1),
