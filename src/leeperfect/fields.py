@@ -25,6 +25,7 @@ from .nt import BudgetExceeded, seeded_rng
 
 DEFAULT_MAX_DEGREE = 80
 DEFAULT_MAX_UNITY = 65536
+_INT64_MAX = 2**63 - 1
 
 
 class PolyModRing:
@@ -36,6 +37,14 @@ class PolyModRing:
             raise ValueError("modulus must be monic of degree >= 1")
         self.p = p
         self.deg = d = len(modulus) - 1
+        # mul adds at most d products below p^2 (low half) to d - 1 products
+        # of the high half, reduced mod p, with the reduction rows: at most
+        # (2d - 1)(p - 1)^2.  Left unreduced, the high half makes that
+        # d (p - 1)^2 + (d - 1)^2 (p - 1)^3, which wraps int64 at p = 1000003,
+        # d = 40, so the reduction runs only where that bound passes 2^63 - 1.
+        if (2 * d - 1) * (p - 1) ** 2 > _INT64_MAX:
+            raise ValueError(f"p = {p} at degree {d} overflows int64 products")
+        self._reduce_high = d * (p - 1) ** 2 + (d - 1) ** 2 * (p - 1) ** 3 > _INT64_MAX
         self.modulus = modulus
         # reduction rows: row k holds x^(d+k) mod modulus, k = 0..d-2
         rows = [np.array([(-c) % p for c in modulus[:-1]], dtype=np.int64)]
@@ -71,7 +80,8 @@ class PolyModRing:
             conv = np.zeros((max(A.shape[0], B.shape[0]), 2 * d - 1), dtype=np.int64)
             for i in range(d):
                 conv[:, i : i + d] += A[:, i : i + 1] * B
-        return (conv[:, :d] + conv[:, d:] @ self._red) % p
+        high = conv[:, d:] % p if self._reduce_high else conv[:, d:]
+        return (conv[:, :d] + high @ self._red) % p
 
     def square(self, A: np.ndarray) -> np.ndarray:
         return self.mul(A, A)

@@ -8,7 +8,10 @@ Four families, all deciding properties of the group order 2n^2 + 2n + 1:
   square preconditions on 8n+1 and 8n-3.
 * lambda_check / field_check - the unit-group invariant lambda attached to a
   pair (v, p) with p | 2n, and the finite-field conditions on the
-  character-orbit sums theta(x, y) when lambda is nondegenerate.
+  character-orbit sums theta(x, y) when lambda is nondegenerate.  lambda is
+  a gcd over the exponent pairs (i, j) with 2^i = p^j mod v; it is read off
+  a Lagrange-Gauss reduced basis of their lattice, so the gcd runs on
+  integers of a few thousand bits instead of p^l - 1 itself.
 * orbit_check - exhaustive search over chi(T) mod p for the instances
   (v, p) = (13, 11) and (17, 3), reproducing the published machine
   computation: the class values are the Frobenius images of tau = V(1), so
@@ -207,9 +210,9 @@ class LambdaCertificate:
     f: int
     l: int  # least i with p^i = +-1 mod v
     d: int
-    i0: Optional[int]
-    j0: Optional[int]
-    lam: Optional[int]
+    i0: int
+    j0: int
+    lam: int
     hypotheses: dict[str, bool]
 
     @property
@@ -230,44 +233,94 @@ def _generates_full_unit_group(gens: list[int], v: int, vfac: nt.Factorization) 
     return True
 
 
-def lambda_chain(v: int, p: int, vfac: nt.Factorization):
-    """The gcd invariant of the pair (v, p): the largest r dividing p^l - 1
-    and every difference 2^i - p^j over exponent pairs with 2^i = p^j mod v.
+def _gauss_reduce(u: tuple[int, int], w: tuple[int, int]):
+    """Lagrange-Gauss reduction of the basis (u, w) of a rank-2 lattice, with
+    exact integer rounding; returns (u, w) with |u| <= |w| and |<u, w>| at
+    most |u|^2 / 2, so u is a shortest nonzero vector."""
+    def dot(s, t):
+        return s[0] * t[0] + s[1] * t[1]
 
-    Computed from the three generating pairs (h2, 0), (0, hp), (i0, j0) of
-    the pair lattice, reducing each difference modulo the running gcd so no
-    integer with exponent-many digits is ever materialized beyond p^l - 1.
-    Returns (h2, hp, l, i0, j0, lambda); j0 is None when 2^i0 lies outside
-    <p>, and lambda is then only an upper bound.  vfac factors v - 1.
+    if dot(u, u) > dot(w, w):
+        u, w = w, u
+    while True:
+        uu = dot(u, u)
+        mu = (2 * dot(u, w) + uu) // (2 * uu)  # round(<u, w> / <u, u>)
+        w = (w[0] - mu * u[0], w[1] - mu * u[1])
+        if dot(w, w) >= uu:
+            return u, w
+        u, w = w, u
+
+
+def _pair_value(a: int, b: int, p: int, mod: Optional[int] = None) -> int:
+    """The integer whose divisors r (prime to 2p) are those with 2^a = p^b
+    (mod r): 2^a - p^b when a and b have the same sign, 2^a p^|b| - 1 when
+    they differ, after normalising (a, b) to a >= 0.  Taken mod `mod` by
+    three-argument pow when given, so no exponent-sized integer is built."""
+    if a < 0:
+        a, b = -a, -b
+    if b >= 0:
+        return pow(2, a, mod) - pow(p, b, mod)
+    return pow(2, a, mod) * pow(p, -b, mod) - 1
+
+
+def lambda_chain(v: int, p: int, vfac: nt.Factorization):
+    """The invariant lambda of the prime pair (v, p): the largest r dividing
+    p^l - 1 and every difference 2^i - p^j over the pairs (i, j) of the
+    lattice generated by (h2, 0), (0, hp) and (i0, j0), all of which have
+    2^i = p^j mod v.
+
+    lambda divides p^l - 1, which is prime to p, and the odd 2^h2 - 1.  An
+    r prime to 2p divides 2^i - p^j for every pair of a lattice exactly when
+    it divides the values (_pair_value) of one basis, so lambda only needs a
+    good basis.  The three generators go to Hermite normal form (g, c),
+    (0, hp), of determinant g hp <= v - 1, and Lagrange-Gauss reduction
+    leaves a shortest vector u of length at most sqrt(2 (v - 1) / sqrt 3).
+    The value x of u has a few thousand bits at most (6237 is the most over
+    every pair of n <= 1000); the factors 2 and p are stripped from it, and
+    the other basis value and p^l - 1 are only taken mod x.  For p = 2,
+    lambda is 2^l - 1 exactly.  Returns (h2, hp, l, i0, j0, lambda); vfac
+    factors v - 1.
     """
     h2 = nt.mult_order(2, v, vfac)
     hp = nt.mult_order(p, v, vfac)
     l = hp // 2 if (hp % 2 == 0 and pow(p, hp // 2, v) == v - 1) else hp
-    M = p**l - 1
-    if M > 1:
-        M = math.gcd(M, pow(2, h2, M) - 1)
-    if M > 1:
-        M = math.gcd(M, pow(p, hp, M) - 1)
     i0 = (v - 1) // hp
+    # (2^i0)^hp = 2^(v-1) = 1, so 2^i0 lies in <p>, the subgroup of order hp
     j0 = nt.discrete_log(p, pow(2, i0, v), v, hp)
-    if j0 is not None and M > 1:
-        M = math.gcd(M, (pow(2, i0, M) - pow(p, j0, M)) % M)
-    return h2, hp, l, i0, j0, M
+    assert j0 is not None, "2^i0 outside <p>: v is not prime"
+    if p == 2:
+        return h2, hp, l, i0, j0, 2**l - 1
+    # Hermite normal form: t (i0, j0) - k (h2, 0) = (g, t j0) with t i0 = g
+    # (mod h2), and a pair (0, j) has p^j = 1, so hp | j: the second row is
+    # (0, hp) itself
+    g = math.gcd(h2, i0)
+    t = pow(i0 // g, -1, h2 // g)
+    u, w = _gauss_reduce((g, t * j0 % hp), (0, hp))
+    x = abs(_pair_value(*u, p))
+    x >>= (x & -x).bit_length() - 1  # strip the factors 2
+    while x % p == 0:
+        x //= p
+    lam = math.gcd(x, _pair_value(*w, p, x), pow(p, l, x) - 1)
+    return h2, hp, l, i0, j0, lam
 
 
 def lambda_value(n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS) -> LambdaCertificate:
-    """lambda_chain for a pair (v, p) of dimension n, with the hypothesis
-    flags and the coefficient data m, m1, m2 of the criterion."""
+    """The reduced-basis lambda of lambda_chain for a prime divisor v of the
+    order and a prime p | 2n, with its lattice data (h2, hp, l, i0, j0), the
+    hypothesis flags and the coefficient data m, m1, m2 of the criterion.
+    For prime v, j0 always exists, so the data are defined whether or not 2
+    and p generate the units mod v; two_and_p_generate only gates the
+    criterion."""
     order = order_r2(n)
-    if order % v != 0:
-        raise ValueError(f"{v} does not divide the order {order}")
+    if order % v != 0 or not nt.is_prime(v):
+        raise ValueError(f"{v} is not a prime divisor of the order {order}")
     if (2 * n) % p != 0:
         raise ValueError(f"{p} does not divide 2n")
     vfac = nt.factorize(v - 1, budget=caps.factor_budget, seed=caps.seed)
     m = order // v
     m1 = m % p
     m2 = (2 * m) % p
-    h2, hp, l, i0, j0, M = lambda_chain(v, p, vfac)
+    h2, hp, l, i0, j0, lam = lambda_chain(v, p, vfac)
     f = hp
     d = (v - 1) // f
     # rho is the residue of the one reconstructed coefficient whose character
@@ -280,14 +333,9 @@ def lambda_value(n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS) -> LambdaCer
         "coefficient_bound_m2_sharp": 2 * n + 1 < (v - 1) * m2 + rho,
         "two_and_p_generate": _generates_full_unit_group([2 % v, p % v], v, vfac),
     }
-    if j0 is None:
-        # 2^i0 outside <p>: the pair (i0, j0) does not exist, which can only
-        # happen when the generation hypothesis fails; the chain value is
-        # then only an upper bound and the certificate is already gated.
-        hypotheses["two_and_p_generate"] = False
     return LambdaCertificate(
         n=n, v=v, p=p, m=m, m1=m1, m2=m2, h2=h2, hp=hp, f=f, l=l, d=d,
-        i0=i0, j0=j0, lam=M, hypotheses=hypotheses,
+        i0=i0, j0=j0, lam=lam, hypotheses=hypotheses,
     )
 
 

@@ -28,8 +28,9 @@ from .outcomes import Caps, DEFAULT_CAPS, InternalInconsistencyError
 
 
 def _lambda_suite(log: Callable[[str], None]) -> bool:
-    """Generator-chain lambda equals the brute-force pair gcd for every prime
-    v < 500 and prime p < 50 for which 2 and p generate the units mod v."""
+    """radius2.lambda_chain, the reduced-basis lambda that lambda_check and
+    field_check run, equals the brute-force pair gcd for every prime v < 500
+    and prime p < 50 for which 2 and p generate the units mod v."""
     checked = 0
     for v in range(5, 500):
         if not nt.is_prime(v):
@@ -38,10 +39,10 @@ def _lambda_suite(log: Callable[[str], None]) -> bool:
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
             if p == v or not radius2._generates_full_unit_group([2 % v, p % v], v, vfac):
                 continue
-            M = radius2.lambda_chain(v, p, vfac)[-1]
+            lam = radius2.lambda_chain(v, p, vfac)[-1]
             brute = radius2.lambda_bruteforce(v, p)
-            if M != brute:
-                log(f"  mismatch at (v={v}, p={p}): chain {M} vs brute {brute}")
+            if lam != brute:
+                log(f"  mismatch at (v={v}, p={p}): reduced basis {lam} vs brute {brute}")
                 return False
             checked += 1
     log(f"  {checked} (v, p) pairs agree with the brute-force gcd")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from leeperfect import nt
 from leeperfect.fields import (
     FieldCtx,
+    PolyModRing,
     _has_root,
     build_field,
     frobenius,
@@ -255,3 +258,27 @@ def test_kernel_trace_is_the_frobenius_sum(i):
     total = sum(ring.frob_matrix(k) for k in range(ring.deg)) % ring.p
     assert np.array_equal(ring.trace_matrix(), total)
     assert np.array_equal(ring.frob_matrix(ring.deg), np.eye(ring.deg, dtype=np.int64))
+
+
+def _int64_edge_primes(d):
+    """The largest prime p with (2d - 1)(p - 1)^2 < 2^63, and the next prime."""
+    top = math.isqrt((2**63 - 1) // (2 * d - 1)) + 1  # largest p within the bound
+    under = next(q for q in range(top, 0, -1) if nt.is_prime(q))
+    over = next(q for q in range(top + 1, 2 * top) if nt.is_prime(q))
+    return under, over
+
+
+@pytest.mark.parametrize("d", [1, 2, 40])
+def test_kernel_int64_bound(d):
+    under, over = _int64_edge_primes(d)
+    with pytest.raises(ValueError):
+        PolyModRing(over, [1] * (d + 1))
+    rng = np.random.default_rng(d)
+    for p in (1_000_003, under):  # deg 40 at 1000003 wrapped before the high half was reduced
+        modulus = [int(c) for c in rng.integers(0, p, d)] + [1]
+        ring = PolyModRing(p, modulus)
+        A = np.vstack([np.full(d, p - 1), rng.integers(0, p, (3, d))]).astype(np.int64)
+        B = np.vstack([np.full(d, p - 1), rng.integers(0, p, (3, d))]).astype(np.int64)
+        for a, b, c in zip(A, B, ring.mul(A, B)):
+            assert _schoolbook(a.tolist(), b.tolist(), ring.modulus, p) == c.tolist()
+            assert np.array_equal(ring.mul(a[None, :], b[None, :])[0], c)

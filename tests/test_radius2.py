@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from leeperfect import nt, radius2
@@ -74,6 +74,15 @@ def test_lambda_hypothesis_gates():
     assert out.status is Status.NOT_APPLICABLE
 
 
+def test_lambda_value_needs_a_prime_divisor():
+    # 25 divides the order 25 at n = 3, but the unit-group orders and
+    # discrete logs behind lambda hold for prime v only; 7 does not divide 25
+    with pytest.raises(ValueError):
+        radius2.lambda_value(3, 25, 3)
+    with pytest.raises(ValueError):
+        radius2.lambda_value(3, 7, 3)
+
+
 def test_lambda_formula_matches_bruteforce_sample():
     checked = 0
     for v in (13, 17, 29, 37, 41, 53, 61, 73, 89, 97):
@@ -85,6 +94,53 @@ def test_lambda_formula_matches_bruteforce_sample():
             assert M == radius2.lambda_bruteforce(v, p), (v, p)
             checked += 1
     assert checked >= 20
+
+
+def _lambda_chain_reference(v, p, vfac):
+    """Reference for radius2.lambda_chain: the gcd chain it ran before the
+    reduced basis, on p^l - 1 itself (up to megabits near n = 560)."""
+    h2 = nt.mult_order(2, v, vfac)
+    hp = nt.mult_order(p, v, vfac)
+    l = hp // 2 if (hp % 2 == 0 and pow(p, hp // 2, v) == v - 1) else hp
+    M = p**l - 1
+    if M > 1:
+        M = math.gcd(M, pow(2, h2, M) - 1)
+    if M > 1:
+        M = math.gcd(M, pow(p, hp, M) - 1)
+    i0 = (v - 1) // hp
+    j0 = nt.discrete_log(p, pow(2, i0, v), v, hp)
+    if j0 is not None and M > 1:
+        M = math.gcd(M, (pow(2, i0, M) - pow(p, j0, M)) % M)
+    return h2, hp, l, i0, j0, M
+
+
+_ODD_PRIMES = [q for q in range(3, 20_000) if nt.is_prime(q)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_ODD_PRIMES), st.sampled_from([2] + _ODD_PRIMES[:300]))
+@example(17, 13)  # <2, 13> has order 8 mod 17: 2 and p do not generate
+@example(19_997, 2)
+def test_lambda_chain_matches_gcd_chain_reference(v, p):
+    assume(p != v)
+    vfac = nt.factorize(v - 1)
+    assert radius2.lambda_chain(v, p, vfac) == _lambda_chain_reference(v, p, vfac)
+
+
+def test_lambda_n562_pinned():
+    # as the gcd chain (_lambda_chain_reference) computes them on p^l - 1,
+    # a 1.3-megabit integer; that takes about 1.6 s, so the values are pinned
+    cert = radius2.lambda_value(562, 632813, 281)
+    assert (cert.lam, cert.l, cert.h2) == (3164065, 158203, 632812)
+    assert cert.hypotheses_ok
+
+
+def test_selftest_lambda_suite_runs_the_production_lambda(monkeypatch):
+    from leeperfect import selftest
+
+    real = radius2.lambda_chain
+    monkeypatch.setattr(radius2, "lambda_chain", lambda v, p, vfac: real(v, p, vfac)[:-1] + (0,))
+    assert not selftest._lambda_suite(lambda line: None)
 
 
 def test_theta_trivial_values():
