@@ -28,6 +28,17 @@ DEFAULT_MAX_UNITY = 65536
 _INT64_MAX = 2**63 - 1
 
 
+def _fits_int64(p: int, d: int) -> bool:
+    """Whether no int64 sum of PolyModRing.mul can pass 2^63 - 1 at degree d.
+
+    The shift-add product leaves each of the d - 1 high coefficients below
+    (d - 1)(p - 1)^2, unreduced; their product with the reduction rows (entries
+    below p) adds (d - 1)^2 (p - 1)^3 to a low coefficient below d (p - 1)^2.
+    The Frobenius, trace and power-table matmuls sum only d products below p^2.
+    """
+    return d * (p - 1) ** 2 + (d - 1) ** 2 * (p - 1) ** 3 <= _INT64_MAX
+
+
 class PolyModRing:
     """F_p[x] / (modulus), modulus monic of degree deg >= 1, on coefficient rows."""
 
@@ -37,14 +48,8 @@ class PolyModRing:
             raise ValueError("modulus must be monic of degree >= 1")
         self.p = p
         self.deg = d = len(modulus) - 1
-        # mul adds at most d products below p^2 (low half) to d - 1 products
-        # of the high half, reduced mod p, with the reduction rows: at most
-        # (2d - 1)(p - 1)^2.  Left unreduced, the high half makes that
-        # d (p - 1)^2 + (d - 1)^2 (p - 1)^3, which wraps int64 at p = 1000003,
-        # d = 40, so the reduction runs only where that bound passes 2^63 - 1.
-        if (2 * d - 1) * (p - 1) ** 2 > _INT64_MAX:
+        if not _fits_int64(p, d):
             raise ValueError(f"p = {p} at degree {d} overflows int64 products")
-        self._reduce_high = d * (p - 1) ** 2 + (d - 1) ** 2 * (p - 1) ** 3 > _INT64_MAX
         self.modulus = modulus
         # reduction rows: row k holds x^(d+k) mod modulus, k = 0..d-2
         rows = [np.array([(-c) % p for c in modulus[:-1]], dtype=np.int64)]
@@ -80,8 +85,7 @@ class PolyModRing:
             conv = np.zeros((max(A.shape[0], B.shape[0]), 2 * d - 1), dtype=np.int64)
             for i in range(d):
                 conv[:, i : i + d] += A[:, i : i + 1] * B
-        high = conv[:, d:] % p if self._reduce_high else conv[:, d:]
-        return (conv[:, :d] + high @ self._red) % p
+        return (conv[:, :d] + conv[:, d:] @ self._red) % p
 
     def square(self, A: np.ndarray) -> np.ndarray:
         return self.mul(A, A)
@@ -257,6 +261,8 @@ def build_field(p: int, f: int, seed: int = 0, max_degree: int = DEFAULT_MAX_DEG
         raise ValueError("degree must be >= 1")
     if f > max_degree:
         raise BudgetExceeded(f"extension degree {f} exceeds the cap {max_degree}")
+    if not _fits_int64(p, f):
+        raise BudgetExceeded(f"p = {p} at degree {f} overflows the int64 kernel")
     if f == 1:
         return FieldCtx(p, (0, 1))
     rng = seeded_rng(seed, "field-modulus", p, f)

@@ -261,10 +261,20 @@ def test_kernel_trace_is_the_frobenius_sum(i):
 
 
 def _int64_edge_primes(d):
-    """The largest prime p with (2d - 1)(p - 1)^2 < 2^63, and the next prime."""
-    top = math.isqrt((2**63 - 1) // (2 * d - 1)) + 1  # largest p within the bound
-    under = next(q for q in range(top, 0, -1) if nt.is_prime(q))
-    over = next(q for q in range(top + 1, 2 * top) if nt.is_prime(q))
+    """The largest prime p with d(p - 1)^2 + (d - 1)^2 (p - 1)^3 < 2^63, and the next prime.
+
+    That sum is the largest an unreduced shift-add product with the reduction
+    rows can reach in int64.
+    """
+    def fits(p):
+        return d * (p - 1) ** 2 + (d - 1) ** 2 * (p - 1) ** 3 < 2**63
+
+    lo, hi = 2, 2**32  # fits(lo), not fits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    under = next(q for q in range(lo, 0, -1) if nt.is_prime(q))
+    over = next(q for q in range(lo + 1, 2 * lo) if nt.is_prime(q))
     return under, over
 
 
@@ -273,12 +283,20 @@ def test_kernel_int64_bound(d):
     under, over = _int64_edge_primes(d)
     with pytest.raises(ValueError):
         PolyModRing(over, [1] * (d + 1))
+    with pytest.raises(nt.BudgetExceeded):
+        build_field(over, d)  # a skip, not an endless modulus search
     rng = np.random.default_rng(d)
-    for p in (1_000_003, under):  # deg 40 at 1000003 wrapped before the high half was reduced
-        modulus = [int(c) for c in rng.integers(0, p, d)] + [1]
-        ring = PolyModRing(p, modulus)
-        A = np.vstack([np.full(d, p - 1), rng.integers(0, p, (3, d))]).astype(np.int64)
-        B = np.vstack([np.full(d, p - 1), rng.integers(0, p, (3, d))]).astype(np.int64)
-        for a, b, c in zip(A, B, ring.mul(A, B)):
-            assert _schoolbook(a.tolist(), b.tolist(), ring.modulus, p) == c.tolist()
-            assert np.array_equal(ring.mul(a[None, :], b[None, :])[0], c)
+    modulus = [int(c) for c in rng.integers(0, under, d)] + [1]
+    ring = PolyModRing(under, modulus)
+    A = np.vstack([np.full(d, under - 1), rng.integers(0, under, (3, d))]).astype(np.int64)
+    B = np.vstack([np.full(d, under - 1), rng.integers(0, under, (3, d))]).astype(np.int64)
+    for a, b, c in zip(A, B, ring.mul(A, B)):
+        assert _schoolbook(a.tolist(), b.tolist(), ring.modulus, under) == c.tolist()
+        assert np.array_equal(ring.mul(a[None, :], b[None, :])[0], c)
+
+
+def test_kernel_refuses_the_ring_that_wrapped():
+    # at p = 1000003, deg 40, the int64 product once differed silently from a
+    # schoolbook product mod p
+    with pytest.raises(ValueError):
+        PolyModRing(1_000_003, [3] * 40 + [1])
