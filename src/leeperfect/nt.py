@@ -2,10 +2,12 @@
 
 Primality, factorization, multiplicative orders, perfect squares, discrete
 logarithms, and the shifted two-coin solvability test used by the projected
-power-sum criterion.  Everything here is exact; the only randomness (Pollard
-rho, extra Miller-Rabin rounds above the deterministic range) is drawn from
-generators seeded deterministically per call site, so runs are reproducible
-bit for bit.
+power-sum criterion.  Factorization trial-divides by the primes below 10^4
+(sieved once at import), takes a cofactor below 10^8 with no such factor as
+prime, and runs Pollard rho only on what is left.  Everything here is exact;
+the only randomness (Pollard rho, extra Miller-Rabin rounds above the
+deterministic range) is drawn from generators seeded deterministically per
+call site, so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +28,19 @@ _PROBABILISTIC_ROUNDS = 64
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 _TRIAL_DIVISION_BOUND = 10_000
+
+
+def _primes_below(bound: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return tuple(p for p in range(bound) if sieve[p])
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_DIVISION_BOUND)
 
 
 class BudgetExceeded(Exception):
@@ -146,23 +161,30 @@ def _pollard_brent(n: int, rng: random.Random, budget: list[int]) -> int:
 def factorize(n: int, budget: Optional[int] = None, seed: int = 0) -> Factorization:
     """Complete factorization; raises BudgetExceeded rather than guessing.
 
-    Trial division below 10^4, then Pollard-Brent rho with seeded restarts.
-    The budget counts rho iterations across the whole call.
+    Trial division by the primes below 10^4.  A cofactor below 10^8 that
+    is left over has no prime factor below 10^4, so it is prime (the least
+    composite without one is 10007^2).  A larger cofactor goes to Pollard-
+    Brent rho with seeded restarts; its rng is built only then.  The budget
+    counts rho iterations across the whole call.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     factors: dict[int, int] = {}
     deterministic = True
     m = n
-    for p in range(2, _TRIAL_DIVISION_BOUND):
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
+    if m < _TRIAL_DIVISION_BOUND * _TRIAL_DIVISION_BOUND:
+        if m > 1:
+            factors[m] = 1
+        return Factorization(n, tuple(sorted(factors.items())), deterministic)
     budget_box = [budget if budget is not None else 10**7]
-    stack = [m] if m > 1 else []
-    rng = seeded_rng(seed, "pollard", n)
+    stack = [m]
+    rng = None
     while stack:
         m = stack.pop()
         if m == 1:
@@ -179,6 +201,8 @@ def factorize(n: int, budget: Optional[int] = None, seed: int = 0) -> Factorizat
                 stack.extend([r] * k)
                 break
         else:
+            if rng is None:
+                rng = seeded_rng(seed, "pollard", n)
             d = _pollard_brent(m, rng, budget_box)
             stack.extend([d, m // d])
     return Factorization(n, tuple(sorted(factors.items())), deterministic)

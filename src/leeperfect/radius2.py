@@ -70,16 +70,20 @@ def _prod(factors) -> int:
 # ---------------------------------------------------------------------------
 
 
-def kim_check(n: int, caps: Caps = DEFAULT_CAPS) -> CriterionOutcome:
+def kim_check(
+    n: int, caps: Caps = DEFAULT_CAPS, fac: Optional[nt.Factorization] = None,
+) -> CriterionOutcome:
     """Excluded iff some prime v | order, v > 2n+1, makes every shift l
-    in 0..floor(m/4) unsolvable in a(x+1) + by = n - l."""
+    in 0..floor(m/4) unsolvable in a(x+1) + by = n - l.  `fac` is the
+    order's factorization when the caller already has it."""
     if n < 2:
         raise ValueError("kim_check requires n >= 2")
     order = order_r2(n)
-    try:
-        fac = nt.factorize(order, budget=caps.factor_budget, seed=caps.seed)
-    except BudgetExceeded as e:
-        return CriterionOutcome("kim", Status.SKIPPED, reason=str(e), params={"n": n})
+    if fac is None:
+        try:
+            fac = nt.factorize(order, budget=caps.factor_budget, seed=caps.seed)
+        except BudgetExceeded as e:
+            return CriterionOutcome("kim", Status.SKIPPED, reason=str(e), params={"n": n})
     entries = []
     fired = None
     for v in fac.primes():

@@ -124,6 +124,18 @@ def _aggregate(n: int, r: int, order: int, fac: dict[int, int],
     return Verdict(n, r, order, fac, outcomes, overall, tier, by, None, timing)
 
 
+def _selected_criteria(r: int, criteria: Optional[Iterable[str]]) -> tuple[str, ...]:
+    """The criteria to run at radius r, all of them by default.  A name that
+    is unknown or belongs to the other radius is a ValueError."""
+    allowed = R2_CRITERIA if r == 2 else R3_CRITERIA
+    sel = allowed if criteria is None else tuple(criteria)
+    wrong = [c for c in sel if c not in allowed]
+    if wrong:
+        raise ValueError(f"no radius-{r} criterion named {', '.join(wrong)} "
+                         f"(choose from {', '.join(allowed)})")
+    return sel
+
+
 def check(
     n: int, r: int, caps: Caps = DEFAULT_CAPS, early_exit: bool = False,
     criteria: Optional[Iterable[str]] = None,
@@ -147,7 +159,7 @@ def check(
     else:
         raise ValueError("radius must be 2 or 3")
 
-    selected = set(criteria) if criteria is not None else set(R2_CRITERIA + R3_CRITERIA)
+    selected = set(_selected_criteria(r, criteria))
     outcomes: list[CriterionOutcome] = []
     timing: dict[str, float] = {}
     try:
@@ -172,7 +184,7 @@ def check(
 
     if r == 2:
         if "kim" in selected:
-            if run("kim", radius2.kim_check, n, caps).excluded and early_exit:
+            if run("kim", radius2.kim_check, n, caps, fac).excluded and early_exit:
                 return done()
         if "small_v" in selected:
             if run("small_v", radius2.small_v_check, n).excluded and early_exit:
@@ -254,7 +266,7 @@ def counts(
 ) -> CountTable:
     """Count dimensions up to `upto` with at least one exclusion among the
     selected criteria.  Small-divisor counts are also broken down per v."""
-    sel = tuple(criteria) if criteria else (R2_CRITERIA if r == 2 else R3_CRITERIA)
+    sel = _selected_criteria(r, criteria or None)
     if verdicts is None:
         verdicts = scan(r, 2 if r == 2 else 3, upto, caps, early_exit=False, criteria=sel)
     total = 0

@@ -30,6 +30,12 @@ def test_kim_examples():
     assert (entry["v"], entry["a"], entry["b"], entry["solvable_l"]) == (13, 2, 6, 0)
 
 
+def test_kim_with_the_callers_factorization_matches_its_own():
+    for n in range(2, 301):
+        fac = nt.factorize(radius2.order_r2(n))
+        assert radius2.kim_check(n, DEFAULT_CAPS, fac) == radius2.kim_check(n, DEFAULT_CAPS)
+
+
 def test_kim_not_applicable():
     # order 841 = 29^2 has no prime divisor above 2n+1 = 41
     out = radius2.kim_check(20)

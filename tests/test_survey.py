@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from leeperfect import cli, radius2, survey
+import leeperfect
+from leeperfect import cli, nt, radius2, survey
 from leeperfect.outcomes import Caps, InternalInconsistencyError, Status, Tier
 from leeperfect.survey import R2_CRITERIA, Verdict, check, counts, emit, parse_report, scan
 
@@ -124,9 +127,13 @@ def test_verdict_json_holds_certificates():
 
 
 def _run_cli(*args):
+    # the child imports the same leeperfect package as this test process
+    src = str(Path(leeperfect.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "leeperfect", *args],
-        capture_output=True, text=True, timeout=600,
+        capture_output=True, text=True, timeout=600, env=env,
     )
 
 
@@ -206,6 +213,10 @@ _CHECK_4 = ["check", "--r", "2", "--n", "4"]
     pytest.param(["scan", "--r", "2", "--from", "10", "--to", "5"], id="empty_range"),
     pytest.param(["orbit", "--r", "2", "--n", "23", "--v", "19"], id="orbit_no_companion"),
     pytest.param(["orbit", "--r", "3", "--n", "8", "--v", "23"], id="orbit_r3_generic"),
+    pytest.param(["counts", "--r", "2", "--to", "10", "--criteria", "bogus"],
+                 id="unknown_criterion"),
+    pytest.param(["counts", "--r", "3", "--to", "10", "--criteria", "kim"],
+                 id="criterion_wrong_radius"),
 ])
 def test_cli_bad_input_is_a_usage_error(tmp_path, argv):
     (tmp_path / "caps.txt").write_text("seed = lots\n")
@@ -213,3 +224,34 @@ def test_cli_bad_input_is_a_usage_error(tmp_path, argv):
     assert res.returncode == cli.EXIT_USAGE
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+    assert res.stderr.startswith("leeperfect:")
+
+
+@pytest.mark.parametrize("r, criteria", [
+    (2, ["bogus"]), (2, ["kim", "square24"]), (3, ["kim"]), (3, ["orbit"]),
+])
+def test_unknown_or_wrong_radius_criteria_are_refused(monkeypatch, r, criteria):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the criteria were checked")
+
+    monkeypatch.setattr(nt, "factorize", no_work)
+    with pytest.raises(ValueError, match="criterion"):
+        check(10, r, criteria=criteria)
+    with pytest.raises(ValueError, match="criterion"):
+        counts(r, 10, criteria)
+
+
+def test_check_factors_the_order_once(monkeypatch):
+    calls = []
+    real = nt.factorize
+
+    def counted(m, *args, **kwargs):
+        calls.append(m)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(nt, "factorize", counted)
+    for n in (4, 57, 100, 2024):
+        calls.clear()
+        v = check(n, 2, criteria=["kim", "small_v"])
+        assert v.outcomes[0].certificate["evaluated"]  # kim had a divisor to test
+        assert calls.count(radius2.order_r2(n)) == 1
