@@ -25,6 +25,7 @@ EXIT_STRICT_SKIP = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -58,7 +59,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _Parser(prog="leeperfect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_n=False, needs_range=False):
+    def common(p, needs_n=False, needs_range=False, writes_report=False):
         p.add_argument("--r", type=int, required=True, choices=(2, 3))
         if needs_n:
             p.add_argument("--n", type=int, required=True)
@@ -66,15 +67,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             p.add_argument("--from", dest="frm", type=int, required=True)
             p.add_argument("--to", type=int, required=True)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None)
+        if writes_report:
+            p.add_argument("--out", default=None)
         p.add_argument("--caps", default=None, help="caps file (key = value lines)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--no-early-exit", action="store_true")
         p.add_argument("--strict", action="store_true")
 
-    common(sub.add_parser("check", help="full audit of a single dimension"), needs_n=True)
-    common(sub.add_parser("scan", help="verdicts over a dimension range"), needs_range=True)
+    common(sub.add_parser("check", help="full audit of a single dimension"),
+           needs_n=True, writes_report=True)
+    common(sub.add_parser("scan", help="verdicts over a dimension range"),
+           needs_range=True, writes_report=True)
 
     p = sub.add_parser("counts", help="exclusion tallies for criterion subsets")
     common(p, needs_range=False)
@@ -94,7 +98,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--allow-generic", action="store_true")
 
     p = sub.add_parser("reproduce-table", help="compare 3 <= n <= 100 against the published table")
-    common(p)
+    common(p, writes_report=True)
 
     p = sub.add_parser("selftest", help="independent property suites")
     common(p)

@@ -24,7 +24,6 @@ from . import nt
 from .nt import BudgetExceeded, seeded_rng
 
 DEFAULT_MAX_DEGREE = 80
-DEFAULT_MAX_UNITY = 65536
 _INT64_MAX = 2**63 - 1
 
 
@@ -296,27 +295,6 @@ def in_prime_subfield(e: FieldElement) -> Optional[int]:
     if any(e.coeffs[1:]):
         return None
     return e.coeffs[0]
-
-
-def roots_of_unity(
-    ctx: FieldCtx, k: int, seed: int = 0, cap: int = DEFAULT_MAX_UNITY
-) -> list[FieldElement]:
-    """All k-th roots of unity, as powers of one exact-order-k element."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if (ctx.order - 1) % k != 0:
-        raise ValueError(f"{k} does not divide the multiplicative group order")
-    if k > cap:
-        raise BudgetExceeded(f"unity group size {k} exceeds the cap {cap}")
-    if k == 1:
-        return [ctx.one()]
-    z = exact_order_element(ctx, k, seeded_rng(seed, "unity", ctx.p, ctx.f, k))
-    roots = [ctx.one()]
-    cur = z
-    for _ in range(k - 1):
-        roots.append(cur)
-        cur = cur * z
-    return roots
 
 
 def exact_order_element(ctx: FieldCtx, k: int, rng) -> FieldElement:

@@ -21,6 +21,14 @@ candidate-level operation is the shared batched kernel on (N, deg) integer
 arrays, so a full scan of F_{11^6} (about 1.8M candidates) runs in seconds.
 On top of the kernel it adds the paired powers, the class values, the
 chunked root scan and the inversion back to the coefficients a_g.
+
+The radius-2 and radius-3 orbit criteria share everything after their
+projected equation: class_survey scans for its roots and records each
+survivor (its factor class, the coefficient value at the principal point),
+budget_skip refuses a candidate space over the search budget, and
+search_outcome turns a class summary into the three-way verdict.  Each
+radius module keeps its residual, its survivor re-checks and factor tests,
+its preconditions and its reason strings.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import numpy as np
 
 from . import nt
 from .fields import PolyModRing
+from .outcomes import Caps, CriterionOutcome, Status, Tier
 
 # candidates per batch of the root scan; the kernel's temporaries on a batch
 # (a few (chunk, 2 deg - 1) int64 arrays) set the orbit search's peak memory
@@ -124,3 +133,63 @@ class CosineField(PolyModRing):
         """Representative of {j, -j} mod v in 1..(v-1)/2 (0 for the identity)."""
         j %= self.v
         return min(j, self.v - j)
+
+
+def class_survey(F: CosineField, n_mod_p: int, total: int, residual, kind_of) -> dict:
+    """Summary of one class: every root tau of the batched residual, with
+    kind_of(row, class values) (which re-asserts the survivor's invariants
+    and names its factor class, "other" for none) and the reconstructed
+    coefficient at the principal point, expected to equal total."""
+    records = []
+    for row in F.roots(residual):
+        values = F.class_values(row[None, :])
+        kind = kind_of(row, values)
+        point_value = F.coefficients(values, total)[0]
+        records.append({
+            "tau": [int(x) for x in row],
+            "class": kind,
+            "principal_point_value": point_value,
+            "principal_point_ok": point_value == total,
+        })
+    return {
+        "v": F.v, "p": F.p, "n_mod_p": n_mod_p,
+        "candidates_scanned": F.size,
+        "survivors": records,
+        "survivor_count": len(records),
+        "unexplained": [
+            r for r in records if r["class"] == "other" and r["principal_point_ok"]
+        ],
+        "expected_coefficient_sum": total,
+    }
+
+
+def budget_skip(criterion: str, params: dict, caps: Caps) -> CriterionOutcome | None:
+    """A SKIPPED outcome when the candidate space p^((v-1)/2) of
+    params["v"], params["p"] exceeds caps.search_node_budget, else None."""
+    p, half = params["p"], (params["v"] - 1) // 2
+    if p**half <= caps.search_node_budget:
+        return None
+    return CriterionOutcome(
+        criterion, Status.SKIPPED,
+        reason=f"candidate space {p}^{half} exceeds the search budget", params=params,
+    )
+
+
+def search_outcome(
+    criterion: str, params: dict, cert: dict, none_reason: str, carried_by: str,
+) -> CriterionOutcome:
+    """The verdict on a class summary: no survivors excludes unconditionally,
+    survivors all carried by a factor (or failing the principal point)
+    exclude on the cited argument, anything else is undecided."""
+    if cert["survivor_count"] == 0:
+        status, tier, reason = Status.EXCLUDED, Tier.UNCONDITIONAL, none_reason
+    elif not cert["unexplained"]:
+        status, tier = Status.EXCLUDED, Tier.CITED
+        reason = (f"all survivors carried by {carried_by} or the published "
+                  "principal-point computation")
+    else:
+        status, tier = Status.UNDECIDED, None
+        reason = f"{len(cert['unexplained'])} survivor(s) not explained by any factor"
+    return CriterionOutcome(
+        criterion, status, tier=tier, reason=reason, params=params, certificate=cert,
+    )

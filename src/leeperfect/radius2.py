@@ -15,11 +15,12 @@ Four families, all deciding properties of the group order 2n^2 + 2n + 1:
 * orbit_check - exhaustive search over chi(T) mod p for the instances
   (v, p) = (13, 11) and (17, 3), reproducing the published machine
   computation: the class values are the Frobenius images of tau = V(1), so
-  the one projected equation V(2) = 2n - V(1)^2 selects the candidates and
-  every chain and Frobenius edge is re-asserted on each survivor; then
-  integrality of the reconstructed coefficients, the reconstruction value
-  at the principal point, and classification of survivors against the two
-  quadratic factors.
+  the one projected equation V(2) = 2n - V(1)^2 selects the candidates.
+  This module supplies that residual, the re-check of every chain and
+  Frobenius edge on each survivor, its classification against the two
+  quadratic factors and the quadratic preconditions; orbitfield runs the
+  scan, reconstructs the coefficients and value at the principal point,
+  and gives the verdict.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .fields import (
     build_field, exact_order_element, frobenius, in_prime_subfield, trace_to_prime,
 )
 from .nt import INFINITY, BudgetExceeded
-from .orbitfield import CosineField
+from .orbitfield import CosineField, budget_skip, class_survey, search_outcome
 from .outcomes import Caps, CriterionOutcome, DEFAULT_CAPS, Status, Tier, read_only
 
 
@@ -46,23 +47,16 @@ def order_r2(n: int) -> int:
 
 def _divisor_factorization(d: int, fac: nt.Factorization) -> nt.Factorization:
     """Factorization of a divisor d of fac.n, read off fac."""
-    out = []
+    rest, out = d, []
     for q, _ in fac.factors:
         e = 0
-        while d % q == 0:
-            d //= q
+        while rest % q == 0:
+            rest //= q
             e += 1
         if e:
             out.append((q, e))
-    assert d == 1, "d does not divide the factored integer"
-    return nt.Factorization(int(_prod(out)), tuple(out))
-
-
-def _prod(factors) -> int:
-    n = 1
-    for q, e in factors:
-        n *= q**e
-    return n
+    assert rest == 1, "d does not divide the factored integer"
+    return nt.Factorization(d, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +585,6 @@ def _orbit_r2_class(v: int, p: int, n_mod_p: int) -> dict:
     """Class-level exhaustive search; depends on n only through n mod p."""
     F = CosineField(p, v)
     two_n = 2 * n_mod_p % p
-    two_n1 = (2 * n_mod_p + 1) % p
     e2 = F.frob_exponent[F.pm_class(2)]
 
     def chain_step(A):
@@ -599,48 +592,30 @@ def _orbit_r2_class(v: int, p: int, n_mod_p: int) -> dict:
         out[:, 0] = (out[:, 0] + two_n) % p
         return out
 
-    # the chain step at class 1, V(2) = 2n - V(1)^2; its Frobenius images are
-    # the chain steps at the other classes, re-asserted on survivors below
-    survivors = F.roots(lambda tau: F.frob(tau, e2) - chain_step(tau))
-    records = []
-    for row in survivors:
-        tau = row[None, :]
-        values = F.class_values(tau)
+    def kind_of(row, values):
         # re-verify the construction invariants V(2j) = 2n - V(j)^2, V(pj) = V(j)^p
         for c in values:
             c2, cp = F.pm_class(2 * c), F.pm_class(p * c)
             assert np.array_equal(values[c2], chain_step(values[c]))
             assert np.array_equal(values[cp], F.frob(values[c]))
-        point_value = F.coefficients(values, two_n1)[0]
         # classification against the two quadratic factors
-        sq = F.square(tau)[0]
+        sq = F.square(row[None, :])[0]
         q1 = (sq - row) % p
         q1[0] = (q1[0] - (two_n - 1)) % p
         q2 = (sq + row) % p
         q2[0] = (q2[0] - two_n) % p
         if not q1.any():
-            kind = "quadratic_factor_1"
-        elif not q2.any():
-            kind = "quadratic_factor_2"
-        else:
-            kind = "other"
-        records.append({
-            "tau": [int(c) for c in row],
-            "class": kind,
-            "principal_point_value": point_value,
-            "principal_point_ok": point_value == two_n1,
-        })
-    unexplained = [
-        r for r in records if r["class"] == "other" and r["principal_point_ok"]
-    ]
-    return read_only({
-        "v": v, "p": p, "n_mod_p": n_mod_p,
-        "candidates_scanned": F.size,
-        "survivors": records,
-        "survivor_count": len(records),
-        "unexplained": unexplained,
-        "expected_coefficient_sum": two_n1,
-    })
+            return "quadratic_factor_1"
+        if not q2.any():
+            return "quadratic_factor_2"
+        return "other"
+
+    def residual(tau):
+        # the chain step at class 1, V(2) = 2n - V(1)^2; its Frobenius images
+        # are the chain steps at the other classes, re-asserted by kind_of
+        return F.frob(tau, e2) - chain_step(tau)
+
+    return read_only(class_survey(F, n_mod_p, (2 * n_mod_p + 1) % p, residual, kind_of))
 
 
 def orbit_check(
@@ -679,31 +654,14 @@ def orbit_check(
             "orbit", Status.NOT_APPLICABLE,
             reason="8n-3 = 13 * square blocks the quadratic-factor argument", params=params,
         )
-    if p**((v - 1) // 2) > caps.search_node_budget:
-        return CriterionOutcome(
-            "orbit", Status.SKIPPED,
-            reason=f"candidate space {p}^{(v - 1) // 2} exceeds the search budget", params=params,
-        )
-    analysis = _orbit_r2_class(v, p, n % p)
+    skip = budget_skip("orbit", params, caps)
+    if skip is not None:
+        return skip
     cert = {
         "preconditions": {"eight_n_plus_1_nonsquare": True, "vk2_hit": vk2},
-        **analysis,
+        **_orbit_r2_class(v, p, n % p),
     }
-    if analysis["survivor_count"] == 0:
-        return CriterionOutcome(
-            "orbit", Status.EXCLUDED, tier=Tier.UNCONDITIONAL,
-            reason="no consistent candidate survives the projected equations",
-            params=params, certificate=cert,
-        )
-    if not analysis["unexplained"]:
-        return CriterionOutcome(
-            "orbit", Status.EXCLUDED, tier=Tier.CITED,
-            reason="all survivors carried by the quadratic factors or the published "
-                   "principal-point computation",
-            params=params, certificate=cert,
-        )
-    return CriterionOutcome(
-        "orbit", Status.UNDECIDED,
-        reason=f"{len(analysis['unexplained'])} survivor(s) not explained by any factor",
-        params=params, certificate=cert,
+    return search_outcome(
+        "orbit", params, cert, "no consistent candidate survives the projected equations",
+        "the quadratic factors",
     )

@@ -12,6 +12,10 @@ The group order is 1 + 6n^2 + 4n(n-1)(n-2)/3.  Three pieces:
   the published machine verification behind square24: Frobenius-consistent
   solutions of the projected cubic system, the reconstruction filters, and
   classification against the trivial factor tau(tau^2 + 3tau - 6n + 2).
+  This module supplies the cubic residual, the re-check of its three
+  rotations on each survivor, the factor test, the gate and the count of
+  nontrivial survivors; the scan, the reconstruction and the verdict are
+  orbitfield's, shared with radius 2.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import nt
-from .orbitfield import CosineField
+from .orbitfield import CosineField, budget_skip, class_survey, search_outcome
 from .outcomes import Caps, CriterionOutcome, DEFAULT_CAPS, Status, Tier, read_only
 
 
@@ -108,51 +112,31 @@ def square24_check(n: int) -> CriterionOutcome:
 def _orbit_r3_class(v: int, p: int, n_mod_p: int) -> dict:
     """Class-level search; the projected system depends on n only mod p."""
     F = CosineField(p, v)
-    n_ = n_mod_p % p
-    six_n = 6 * n_ % p
-    two_n1 = (2 * n_ + 1) % p
+    six_n = 6 * n_mod_p % p
 
     def cubic(a, b, c3):
         return (F.mul(F.square(a), a) + 3 * F.mul(b, a) + 2 * c3 - six_n * a) % p
 
     def cubic_at_1(tau):
         # projected cubic at the generator class; its Frobenius images at the
-        # other classes hold automatically and are re-asserted on survivors
+        # other classes hold automatically and are re-asserted by kind_of
         values = F.class_values(tau)
         return cubic(values[1], values[2], values[3])
 
-    survivors = F.roots(cubic_at_1)
-    records = []
-    for row in survivors:
-        one = row[None, :]
-        vals = F.class_values(one)
+    def kind_of(row, vals):
         for a, b, c3 in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             assert not cubic(vals[a], vals[b], vals[c3]).any(), "cubic system broke cyclicity"
-        point_value = F.coefficients(vals, two_n1)[0]
         # trivial factor tau (tau^2 + 3 tau - 6n + 2)
-        sq = F.square(one)[0]
-        triv_quad = (sq + 3 * row) % p
+        triv_quad = (F.square(row[None, :])[0] + 3 * row) % p
         triv_quad[0] = (triv_quad[0] - (six_n - 2)) % p
-        is_trivial = (not row.any()) or (not triv_quad.any())
-        records.append({
-            "tau": [int(x) for x in row],
-            "class": "trivial_factor" if is_trivial else "other",
-            "principal_point_value": point_value,
-            "principal_point_ok": point_value == two_n1,
-        })
-    unexplained = [
-        r for r in records if r["class"] == "other" and r["principal_point_ok"]
-    ]
-    nontrivial = [r for r in records if r["class"] == "other"]
+        return "trivial_factor" if not row.any() or not triv_quad.any() else "other"
+
+    summary = class_survey(F, n_mod_p, (2 * n_mod_p + 1) % p, cubic_at_1, kind_of)
+    nontrivial = [r for r in summary["survivors"] if r["class"] == "other"]
     return read_only({
-        "v": v, "p": p, "n_mod_p": n_mod_p,
-        "candidates_scanned": F.size,
-        "survivors": records,
-        "survivor_count": len(records),
+        **summary,
         "nontrivial_count": len(nontrivial),
         "nontrivial_point_values": sorted({r["principal_point_value"] for r in nontrivial}),
-        "unexplained": unexplained,
-        "expected_coefficient_sum": two_n1,
     })
 
 
@@ -178,29 +162,11 @@ def orbit_check_r3(
             reason=f"trivial constant solution exists ({gate.kind})",
             params=params, certificate={"gate": gate.detail, "gate_kind": gate.kind},
         )
-    if p ** ((v - 1) // 2) > caps.search_node_budget:
-        return CriterionOutcome(
-            "orbit_r3", Status.SKIPPED,
-            reason=f"candidate space {p}^{(v - 1) // 2} exceeds the search budget",
-            params=params,
-        )
-    analysis = _orbit_r3_class(v, p, n % p)
-    cert = {"gate": gate.detail, **analysis}
-    if analysis["survivor_count"] == 0:
-        return CriterionOutcome(
-            "orbit_r3", Status.EXCLUDED, tier=Tier.UNCONDITIONAL,
-            reason="no Frobenius-consistent solution of the projected cubic system",
-            params=params, certificate=cert,
-        )
-    if not analysis["unexplained"]:
-        return CriterionOutcome(
-            "orbit_r3", Status.EXCLUDED, tier=Tier.CITED,
-            reason="all survivors carried by the trivial factor or the published "
-                   "principal-point computation",
-            params=params, certificate=cert,
-        )
-    return CriterionOutcome(
-        "orbit_r3", Status.UNDECIDED,
-        reason=f"{len(analysis['unexplained'])} survivor(s) not explained by any factor",
-        params=params, certificate=cert,
+    skip = budget_skip("orbit_r3", params, caps)
+    if skip is not None:
+        return skip
+    return search_outcome(
+        "orbit_r3", params, {"gate": gate.detail, **_orbit_r3_class(v, p, n % p)},
+        "no Frobenius-consistent solution of the projected cubic system",
+        "the trivial factor",
     )

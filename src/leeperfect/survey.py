@@ -40,7 +40,7 @@ R2_CRITERIA = ("kim", "small_v", "lambda", "field", "orbit")
 R3_CRITERIA = ("square24", "orbit_r3")
 
 
-@dataclass(eq=False)
+@dataclass
 class Verdict:
     """Full decision record for one (n, r)."""
 
@@ -53,17 +53,8 @@ class Verdict:
     tier: Optional[Tier] = None
     excluded_by: Optional[str] = None
     citation: Optional[str] = None
-    timing: dict[str, float] = field(default_factory=dict)
-
-    def __eq__(self, other):
-        # wall-clock diagnostics stay out of equality so parse(emit(V)) == V
-        if not isinstance(other, Verdict):
-            return NotImplemented
-        mine = (self.n, self.r, self.order, self.factorization, self.outcomes,
-                self.overall, self.tier, self.excluded_by, self.citation)
-        theirs = (other.n, other.r, other.order, other.factorization, other.outcomes,
-                  other.overall, other.tier, other.excluded_by, other.citation)
-        return mine == theirs
+    # wall-clock diagnostics stay out of equality so parse(emit(V)) == V
+    timing: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def excluded(self) -> bool:

@@ -10,9 +10,9 @@ from leeperfect.fields import (
     PolyModRing,
     _has_root,
     build_field,
+    exact_order_element,
     frobenius,
     in_prime_subfield,
-    roots_of_unity,
     trace_to_prime,
 )
 from leeperfect.nt import BudgetExceeded
@@ -144,39 +144,31 @@ def test_in_prime_subfield(f125):
         assert (in_prime_subfield(e) is not None) == fixed
 
 
-def test_roots_of_unity_trivial(f125):
-    assert roots_of_unity(f125, 1) == [f125.one()]
-
-
 def test_roots_of_unity_f27():
+    # the powers of one order-13 element are all 13 roots of unity (13 | 3^3 - 1)
     ctx = build_field(3, 3)
-    roots = roots_of_unity(ctx, 13)  # 13 | 3^3 - 1 = 26
+    z = exact_order_element(ctx, 13, nt.seeded_rng(0, "unity", 3, 3, 13))
+    roots = [z**k for k in range(13)]
     assert len(set(roots)) == 13
     one = ctx.one()
-    for z in roots:
-        assert z**13 == one
+    for r in roots:
+        assert r**13 == one
     # closed under products
     rng = nt.seeded_rng(15, "unitygrp")
-    rs = list(roots)
     for _ in range(20):
-        a, b = rng.choice(rs), rng.choice(rs)
-        assert a * b in set(rs)
+        a, b = rng.choice(roots), rng.choice(roots)
+        assert a * b in set(roots)
 
 
 def test_lambda_roots_in_fixed_subfield_f7_35():
     # unity subgroup of size 3 inside F_{7^35}; each member fixed by Frobenius^35
     ctx = build_field(7, 35)
-    roots = roots_of_unity(ctx, 3)
+    z = exact_order_element(ctx, 3, nt.seeded_rng(0, "unity", 7, 35, 3))
+    assert z != ctx.one() and z**3 == ctx.one()
+    roots = [ctx.one(), z, z * z]
     assert len(set(roots)) == 3
-    for z in roots:
-        assert z**3 == ctx.one()
-        assert frobenius(z, 35) == z
-
-
-def test_unity_cap():
-    ctx = build_field(3, 3)
-    with pytest.raises(BudgetExceeded):
-        roots_of_unity(ctx, 13, cap=12)
+    for r in roots:
+        assert frobenius(r, 35) == r
 
 
 def test_cross_context_is_error():

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -346,3 +348,43 @@ def test_orbit_17_3_survivors_match_all_edges_reference(n_mod_p):
 def test_orbit_13_11_survivor_counts_per_class():
     counts = [radius2._orbit_r2_class(13, 11, c)["survivor_count"] for c in range(11)]
     assert counts == [10, 11, 11, 4, 6, 3, 2, 0, 2, 0, 2]
+
+
+# sha256 of json.dumps(class dict, sort_keys=True), computed before the two
+# orbit criteria shared their survey and verdict code in orbitfield
+_ORBIT_R2_CLASS_SHA256 = {
+    (17, 3, 0): "61da2e6b35ef951af97cce3a388163f775b7d933cd3067d30c241e25cba493ba",
+    (17, 3, 1): "0d305d498a3010eab6b26e2b2f048c51fad9027a848f76702442a93988c48a4d",
+    (17, 3, 2): "c6fdd050b097eabad874296daced6b1180affd036a8bc2bca6eef40fa7a395e9",
+    (13, 11, 0): "a36b7857c052b30a07407302720b584e0c2ce82af3167253fa6fbb094efc7f00",
+    (13, 11, 1): "8bde8e2694e67bf6528ec882ac80d411feac5f534e4b36787f9623b43bd2a582",
+    (13, 11, 2): "fd1bb5d1adb27084a1ba8ff6d2403bacc7e2bc5617832498a6256ec331efd795",
+    (13, 11, 3): "f3fb7f79a7daf245d42aa2e27c354c0b1a060d9f99ac41e37b8e602fa0c45b37",
+    (13, 11, 4): "c05f228264263ece0995566cb99bbf125c6423281ce992c7ad535419f2e66d84",
+    (13, 11, 5): "265d5f3623ae5ba83d508dcf2aacb948c3bbd24c182b43f5f89388b44118e266",
+    (13, 11, 6): "c5a7803668502494d0dc8b2a22f88d34e023fc0610ad52e8fed76625c25d079d",
+    (13, 11, 7): "b1fe6e49bc63e19c3e3de5d3f1fde67bbb9e0d928126282d08c5ddfcb2eea4c5",
+    (13, 11, 8): "d219a8514586ec663dfda34c14f5cd12f907e9793ede80274a25e748a5cd9753",
+    (13, 11, 9): "0a466579b833b1e7a6e35f479c0c40995fbd6f1e401b7318c20f2261aad87c3c",
+    (13, 11, 10): "7a1f6592dbcdb9c92af5d5f7e1fefed99e8a25e4b356c03939a2df9d02c15ed7",
+}
+
+
+@pytest.mark.parametrize("v, p, n_mod_p", sorted(_ORBIT_R2_CLASS_SHA256))
+def test_orbit_r2_class_dict_pinned(v, p, n_mod_p):
+    cls = radius2._orbit_r2_class(v, p, n_mod_p)
+    digest = hashlib.sha256(json.dumps(cls, sort_keys=True).encode()).hexdigest()
+    assert digest == _ORBIT_R2_CLASS_SHA256[v, p, n_mod_p]
+
+
+def test_orbit_tests_divisibility_before_primality():
+    out = radius2.orbit_check(5, 9, p=2, allow_generic=True)
+    assert out.status is Status.NOT_APPLICABLE
+    assert out.reason == "9 does not divide the order"
+
+
+def test_orbit_budget_skip():
+    out = radius2.orbit_check(49, 13, Caps(search_node_budget=100))
+    assert out.status is Status.SKIPPED and out.tier is None
+    assert out.reason == "candidate space 11^6 exceeds the search budget"
+    assert out.params == {"n": 49, "v": 13, "p": 11} and out.certificate == {}

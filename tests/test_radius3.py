@@ -1,10 +1,12 @@
 import copy
+import hashlib
+import json
 
 import pytest
 
 from leeperfect import nt, radius3
 from leeperfect.groupring import AbelianGroup, all_ones, identity_element, power_map
-from leeperfect.outcomes import Status, Tier
+from leeperfect.outcomes import Caps, Status, Tier
 
 
 def test_order_polynomial_and_divisibility_classes():
@@ -131,3 +133,34 @@ def test_orbit_r3_certificate_cannot_change_the_cached_class():
     with pytest.raises(TypeError):
         first.certificate["nontrivial_point_values"] += [99]
     assert radius3.orbit_check_r3(n).certificate == snapshot
+
+
+# sha256 of json.dumps(class dict, sort_keys=True), computed before the two
+# orbit criteria shared their survey and verdict code in orbitfield
+_ORBIT_R3_CLASS_SHA256 = [
+    "b053a91ea7f901d9905a9e48f003dd85401803ed2c08b660664da2a97a407db0",
+    "f292f762e97d87649f574cc6bfef1ab49d85fe6af9c7d796d459ce9df263dd5e",
+    "c66c80a47ee7f54a15905ddb1ffc9931f6d6365f6d6212a00ae9e4e625034cab",
+    "5a5cc997d46a4c79c653ce1549c27e0ed0eb5e705d70be26541c713beb9e8580",
+    "629df918546dd76e097683a0998bce8e25e075eba0981302511db018469975d2",
+]
+
+
+@pytest.mark.parametrize("n_mod_p", range(5))
+def test_orbit_r3_class_dict_pinned(n_mod_p):
+    cls = radius3._orbit_r3_class(7, 5, n_mod_p)
+    digest = hashlib.sha256(json.dumps(cls, sort_keys=True).encode()).hexdigest()
+    assert digest == _ORBIT_R3_CLASS_SHA256[n_mod_p]
+
+
+def test_orbit_r3_tests_primality_first():
+    # 9 does not divide order_r3(8) = 833 either, but primality is checked first
+    with pytest.raises(ValueError, match="v and p must be prime"):
+        radius3.orbit_check_r3(8, v=9, p=5, allow_generic=True)
+
+
+def test_orbit_r3_budget_skip():
+    out = radius3.orbit_check_r3(8, Caps(search_node_budget=100))
+    assert out.status is Status.SKIPPED and out.tier is None
+    assert out.reason == "candidate space 5^3 exceeds the search budget"
+    assert out.params == {"n": 8, "v": 7, "p": 5} and out.certificate == {}

@@ -227,6 +227,20 @@ def test_cli_bad_input_is_a_usage_error(tmp_path, argv):
     assert res.stderr.startswith("leeperfect:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["counts", "--r", "2", "--to", "10", "--format", "csv"],
+    ["oracle", "--r", "2", "--n", "2"],
+    ["orbit", "--r", "2", "--n", "23", "--v", "17"],
+    ["selftest", "--r", "2"],
+], ids=lambda argv: argv[0])
+def test_out_is_refused_where_no_report_is_written(tmp_path, argv):
+    # only check, scan and reproduce-table write a report file
+    res = _run_cli(*argv, "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == cli.EXIT_USAGE
+    assert res.stdout == "" and "--out" in res.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("r, criteria", [
     (2, ["bogus"]), (2, ["kim", "square24"]), (3, ["kim"]), (3, ["orbit"]),
 ])
