@@ -31,12 +31,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _caps_from_args(args) -> Caps:
     caps = Caps.from_file(args.caps) if args.caps else Caps()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["thread_count"] = args.threads
-    return dataclasses.replace(caps, **overrides) if overrides else caps
+    # orbit has no --seed, and only scan, counts and reproduce-table have --threads
+    overrides = {"seed": getattr(args, "seed", None),
+                 "thread_count": getattr(args, "threads", None)}
+    return dataclasses.replace(caps, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _emit_or_print(verdicts, args, caps):
@@ -55,55 +53,57 @@ def _strict_exit(verdicts, strict: bool) -> int:
     return EXIT_OK
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+# Every option a subcommand can take.  Each subcommand declares only the ones
+# its code path reads, so argparse refuses the rest as a usage error.
+_OPTIONS = {
+    "--r": dict(type=int, required=True, choices=(2, 3)),
+    "--n": dict(type=int, required=True),
+    "--from": dict(dest="frm", type=int, required=True),
+    "--to": dict(type=int, required=True),
+    "--v": dict(type=int, required=True),
+    "--p": dict(dest="companion", type=int),
+    "--allow-generic": dict(action="store_true"),
+    "--criteria": dict(help="comma-separated subset (default: all for the radius)"),
+    "--include-external": dict(action="store_true"),
+    "--render": dict(action="store_true", help="print the 2-D tiling when found"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(),
+    "--caps": dict(help="caps file (key = value lines)"),
+    "--seed": dict(type=int),
+    "--threads": dict(type=int),
+    "--no-early-exit": dict(action="store_true"),
+    "--strict": dict(action="store_true"),
+}
+
+_SUBCOMMANDS = {
+    "check": ("full audit of a single dimension",
+              "--r --n --format --out --caps --seed --strict"),
+    "scan": ("verdicts over a dimension range",
+             "--r --from --to --format --out --caps --seed --threads --no-early-exit --strict"),
+    "counts": ("exclusion tallies for criterion subsets",
+               "--r --to --criteria --include-external --caps --seed --threads --strict"),
+    "oracle": ("exhaustive witness search at tiny scale",
+               "--r --n --render --caps --seed --strict"),
+    "orbit": ("run one character-orbit search instance",
+              "--r --n --v --p --allow-generic --caps --strict"),
+    "reproduce-table": ("compare 3 <= n <= 100 against the published table",
+                        "--format --out --caps --seed --threads --strict"),
+    "selftest": ("independent property suites", "--caps --seed"),
+}
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="leeperfect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **_OPTIONS[flag])
+    return parser
 
-    def common(p, needs_n=False, needs_range=False, writes_report=False):
-        p.add_argument("--r", type=int, required=True, choices=(2, 3))
-        if needs_n:
-            p.add_argument("--n", type=int, required=True)
-        if needs_range:
-            p.add_argument("--from", dest="frm", type=int, required=True)
-            p.add_argument("--to", type=int, required=True)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        if writes_report:
-            p.add_argument("--out", default=None)
-        p.add_argument("--caps", default=None, help="caps file (key = value lines)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--no-early-exit", action="store_true")
-        p.add_argument("--strict", action="store_true")
 
-    common(sub.add_parser("check", help="full audit of a single dimension"),
-           needs_n=True, writes_report=True)
-    common(sub.add_parser("scan", help="verdicts over a dimension range"),
-           needs_range=True, writes_report=True)
-
-    p = sub.add_parser("counts", help="exclusion tallies for criterion subsets")
-    common(p, needs_range=False)
-    p.add_argument("--to", type=int, required=True)
-    p.add_argument("--criteria", default=None,
-                   help="comma-separated subset (default: all for the radius)")
-    p.add_argument("--include-external", action="store_true")
-
-    p = sub.add_parser("oracle", help="exhaustive witness search at tiny scale")
-    common(p, needs_n=True)
-    p.add_argument("--render", action="store_true", help="print the 2-D tiling when found")
-
-    p = sub.add_parser("orbit", help="run one character-orbit search instance")
-    common(p, needs_n=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--p", dest="companion", type=int, default=None)
-    p.add_argument("--allow-generic", action="store_true")
-
-    p = sub.add_parser("reproduce-table", help="compare 3 <= n <= 100 against the published table")
-    common(p, writes_report=True)
-
-    p = sub.add_parser("selftest", help="independent property suites")
-    common(p)
-
-    args = parser.parse_args(argv)
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         caps = _caps_from_args(args)
     except (OSError, ValueError) as e:
@@ -111,7 +111,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     try:
         if args.command == "check":
-            # single checks keep the full audit trail regardless of flags
             v = survey.check(args.n, args.r, caps, early_exit=False)
             _emit_or_print([v], args, caps)
             return _strict_exit([v], args.strict)

@@ -149,6 +149,8 @@ def orbit_check_r3(
         raise ValueError(f"instance (v={v}, p={p}) is experimental; pass allow_generic=True")
     if not nt.is_prime(v) or not nt.is_prime(p):
         raise ValueError("v and p must be prime")
+    if v < 7:
+        raise ValueError(f"the projected cubic reads classes 1 to 3, so v must be >= 7 (got {v})")
     order = order_r3(n)
     if order % v != 0:
         return CriterionOutcome(

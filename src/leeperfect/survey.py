@@ -2,7 +2,7 @@
 
 check() runs every applicable criterion for one (n, r) and folds the
 outcomes into a Verdict; scan() maps it over a range (optionally across a
-process pool, re-sorted so output order never depends on scheduling);
+process pool, whose map keeps job order whatever the scheduling);
 counts() tallies exclusions for chosen criterion subsets; and
 reproduce_table() compares a full radius-2 sweep against the published
 attribution table.  Reports serialize to JSON (full certificates) or CSV
@@ -38,6 +38,8 @@ VERSION = "0.1.0"
 
 R2_CRITERIA = ("kim", "small_v", "lambda", "field", "orbit")
 R3_CRITERIA = ("square24", "orbit_r3")
+# the order function and the criteria of each radius; radius r starts at n = r
+_RADII = {2: (radius2.order_r2, R2_CRITERIA), 3: (radius3.order_r3, R3_CRITERIA)}
 
 
 @dataclass
@@ -118,7 +120,9 @@ def _aggregate(n: int, r: int, order: int, fac: dict[int, int],
 def _selected_criteria(r: int, criteria: Optional[Iterable[str]]) -> tuple[str, ...]:
     """The criteria to run at radius r, all of them by default.  A name that
     is unknown or belongs to the other radius is a ValueError."""
-    allowed = R2_CRITERIA if r == 2 else R3_CRITERIA
+    if r not in _RADII:
+        raise ValueError("radius must be 2 or 3")
+    allowed = _RADII[r][1]
     sel = allowed if criteria is None else tuple(criteria)
     wrong = [c for c in sel if c not in allowed]
     if wrong:
@@ -139,18 +143,10 @@ def check(
     that; single checks keep the full audit trail).  A criteria subset
     restricts which checks run at all (count tables use this).
     """
-    if r == 2:
-        if n < 2:
-            raise ValueError("radius 2 needs n >= 2")
-        order = radius2.order_r2(n)
-    elif r == 3:
-        if n < 3:
-            raise ValueError("radius 3 needs n >= 3")
-        order = radius3.order_r3(n)
-    else:
-        raise ValueError("radius must be 2 or 3")
-
     selected = set(_selected_criteria(r, criteria))
+    if n < r:
+        raise ValueError(f"radius {r} needs n >= {r}")
+    order = _RADII[r][0](n)
     outcomes: list[CriterionOutcome] = []
     timing: dict[str, float] = {}
     try:
@@ -221,16 +217,13 @@ def scan(
     """Verdicts for frm <= n <= to, ordered by n regardless of scheduling."""
     if frm > to:
         raise ValueError("empty range")
-    lo = max(frm, 2 if r == 2 else 3)
-    sel = tuple(criteria) if criteria is not None else None
+    lo = max(frm, r)
+    sel = _selected_criteria(r, criteria)
     jobs = [(n, r, caps, early_exit, sel) for n in range(lo, to + 1)]
     if caps.thread_count > 1:
         with ProcessPoolExecutor(max_workers=caps.thread_count) as pool:
-            verdicts = list(pool.map(_scan_one, jobs, chunksize=16))
-    else:
-        verdicts = [_scan_one(j) for j in jobs]
-    verdicts.sort(key=lambda v: v.n)
-    return verdicts
+            return list(pool.map(_scan_one, jobs, chunksize=16))
+    return [_scan_one(j) for j in jobs]
 
 
 @dataclass
@@ -259,7 +252,7 @@ def counts(
     selected criteria.  Small-divisor counts are also broken down per v."""
     sel = _selected_criteria(r, criteria or None)
     if verdicts is None:
-        verdicts = scan(r, 2 if r == 2 else 3, upto, caps, early_exit=False, criteria=sel)
+        verdicts = scan(r, r, upto, caps, early_exit=False, criteria=sel)
     total = 0
     per_criterion = {c: 0 for c in sel}
     per_v = {5: 0, 13: 0, 17: 0}

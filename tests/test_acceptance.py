@@ -310,7 +310,7 @@ def test_criterion_10_inconsistency_exit_code(monkeypatch):
     import leeperfect.selftest as st
 
     monkeypatch.setattr(st, "run_selftest", lambda caps, log=print: False)
-    assert cli.main(["selftest", "--r", "2"]) == cli.EXIT_INCONSISTENT
+    assert cli.main(["selftest"]) == cli.EXIT_INCONSISTENT
 
     # the coupling guard raises, and the CLI maps it to the same exit code
     v = survey.check(4, 2, CAPS)

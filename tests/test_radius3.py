@@ -159,6 +159,13 @@ def test_orbit_r3_tests_primality_first():
         radius3.orbit_check_r3(8, v=9, p=5, allow_generic=True)
 
 
+@pytest.mark.parametrize("n, v", [(3, 3), (14, 3), (21, 3), (3, 5)])
+def test_orbit_r3_needs_three_classes(n, v):
+    # the projected cubic reads the classes 1, 2 and 3, which v = 3, 5 lack
+    with pytest.raises(ValueError, match="v must be >= 7"):
+        radius3.orbit_check_r3(n, v=v, p=2, allow_generic=True)
+
+
 def test_orbit_r3_budget_skip():
     out = radius3.orbit_check_r3(8, Caps(search_node_budget=100))
     assert out.status is Status.SKIPPED and out.tier is None

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import leeperfect
-from leeperfect import cli, nt, radius2, survey
+from leeperfect import cli, nt, oracle, radius2, radius3, selftest, survey
 from leeperfect.outcomes import Caps, InternalInconsistencyError, Status, Tier
 from leeperfect.survey import R2_CRITERIA, Verdict, check, counts, emit, parse_report, scan
 
@@ -55,6 +57,19 @@ def test_criteria_subset():
 def test_scan_sorted_and_range():
     verdicts = scan(2, 1, 6)  # lower end clamps to n=2
     assert [v.n for v in verdicts] == [2, 3, 4, 5, 6]
+    assert [v.n for v in scan(3, 1, 4, criteria=["square24"])] == [3, 4]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check(1, 2), "radius 2 needs n >= 2"),
+    (lambda: check(2, 3), "radius 3 needs n >= 3"),
+    (lambda: check(4, 5), "radius must be 2 or 3"),
+    (lambda: scan(5, 3, 4), "radius must be 2 or 3"),
+    (lambda: counts(4, 10), "radius must be 2 or 3"),
+], ids=["n1_r2", "n2_r3", "check_r5", "scan_r5", "counts_r4"])
+def test_radius_and_least_dimension_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_scan_worker_pool_matches_serial():
@@ -207,12 +222,15 @@ _CHECK_4 = ["check", "--r", "2", "--n", "4"]
 @pytest.mark.parametrize("argv", [
     pytest.param(_CHECK_4 + ["--caps", "{tmp}/absent.txt"], id="missing_caps"),
     pytest.param(_CHECK_4 + ["--caps", "{tmp}/caps.txt"], id="malformed_caps"),
-    pytest.param(_CHECK_4 + ["--threads", "0"], id="zero_threads"),
+    pytest.param(["scan", "--r", "2", "--from", "3", "--to", "4", "--threads", "0"],
+                 id="zero_threads"),
     pytest.param(_CHECK_4 + ["--out", "{tmp}/absent/x.csv"], id="unwritable_out"),
     pytest.param(["check", "--r", "2", "--n", "1"], id="n_below_range"),
     pytest.param(["scan", "--r", "2", "--from", "10", "--to", "5"], id="empty_range"),
     pytest.param(["orbit", "--r", "2", "--n", "23", "--v", "19"], id="orbit_no_companion"),
     pytest.param(["orbit", "--r", "3", "--n", "8", "--v", "23"], id="orbit_r3_generic"),
+    pytest.param(["orbit", "--r", "3", "--n", "3", "--v", "3", "--p", "2", "--allow-generic"],
+                 id="orbit_r3_small_v"),
     pytest.param(["counts", "--r", "2", "--to", "10", "--criteria", "bogus"],
                  id="unknown_criterion"),
     pytest.param(["counts", "--r", "3", "--to", "10", "--criteria", "kim"],
@@ -220,7 +238,10 @@ _CHECK_4 = ["check", "--r", "2", "--n", "4"]
 ])
 def test_cli_bad_input_is_a_usage_error(tmp_path, argv):
     (tmp_path / "caps.txt").write_text("seed = lots\n")
-    res = _run_cli(*(a.format(tmp=tmp_path) for a in argv), "--format", "csv")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[0] in ("check", "scan"):  # the subcommands here that take --format
+        argv += ["--format", "csv"]
+    res = _run_cli(*argv)
     assert res.returncode == cli.EXIT_USAGE
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
@@ -228,10 +249,10 @@ def test_cli_bad_input_is_a_usage_error(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["counts", "--r", "2", "--to", "10", "--format", "csv"],
+    ["counts", "--r", "2", "--to", "10"],
     ["oracle", "--r", "2", "--n", "2"],
     ["orbit", "--r", "2", "--n", "23", "--v", "17"],
-    ["selftest", "--r", "2"],
+    ["selftest"],
 ], ids=lambda argv: argv[0])
 def test_out_is_refused_where_no_report_is_written(tmp_path, argv):
     # only check, scan and reproduce-table write a report file
@@ -239,6 +260,63 @@ def test_out_is_refused_where_no_report_is_written(tmp_path, argv):
     assert res.returncode == cli.EXIT_USAGE
     assert res.stdout == "" and "--out" in res.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+_VALID_ARGV = {
+    "check": ["check", "--r", "2", "--n", "4"],
+    "counts": ["counts", "--r", "2", "--to", "10"],
+    "oracle": ["oracle", "--r", "2", "--n", "2"],
+    "orbit": ["orbit", "--r", "2", "--n", "49", "--v", "13"],
+    "reproduce-table": ["reproduce-table"],
+    "selftest": ["selftest"],
+}
+_FLAG_VALUE = {"--r": ["2"], "--format": ["csv"], "--seed": ["1"], "--threads": ["2"]}
+# flags that some subcommands declare and these do not read
+_UNDECLARED = {
+    "check": ["--threads", "--no-early-exit"],
+    "counts": ["--format", "--no-early-exit"],
+    "oracle": ["--format", "--threads", "--no-early-exit"],
+    "orbit": ["--format", "--seed", "--threads", "--no-early-exit"],
+    "reproduce-table": ["--r", "--no-early-exit"],
+    "selftest": ["--r", "--format", "--threads", "--no-early-exit", "--strict"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(c, f, id=f"{c}_{f.lstrip('-')}") for c, flags in _UNDECLARED.items() for f in flags
+])
+def test_undeclared_flags_are_refused_before_any_work(monkeypatch, capsys, command, flag):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for module, name in ((survey, "check"), (survey, "scan"), (survey, "reproduce_table"),
+                         (oracle, "oracle_verdict"), (radius2, "orbit_check"),
+                         (radius3, "orbit_check_r3"), (selftest, "run_selftest")):
+        monkeypatch.setattr(module, name, no_work)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(_VALID_ARGV[command] + [flag] + _FLAG_VALUE.get(flag, []))
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _readme_command_line_section() -> str:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    lines = [line for line in _readme_command_line_section().splitlines()
+             if line.startswith("leeperfect ")]
+    assert len(lines) == len(cli._SUBCOMMANDS)
+    for line in lines:
+        cli._parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_flag_table_matches_the_parser():
+    rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", _readme_command_line_section(), re.M)
+    assert {name: re.findall(r"--[\w-]+", flags) for name, flags in rows} == {
+        name: flags.split() for name, (_, flags) in cli._SUBCOMMANDS.items()
+    }
 
 
 @pytest.mark.parametrize("r, criteria", [
