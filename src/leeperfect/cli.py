@@ -156,7 +156,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                                           allow_generic=args.allow_generic)
             else:
                 out = radius3.orbit_check_r3(args.n, caps, v=args.v,
-                                             p=args.companion or 5,
+                                             p=5 if args.companion is None else args.companion,
                                              allow_generic=args.allow_generic)
             print(f"{out.criterion}(n={args.n}, v={args.v}): {out.status.value}"
                   + (f" [{out.tier.value}]" if out.tier else ""))

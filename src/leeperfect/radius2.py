@@ -8,7 +8,11 @@ Four families, all deciding properties of the group order 2n^2 + 2n + 1:
   square preconditions on 8n+1 and 8n-3.
 * lambda_check / field_check - the unit-group invariant lambda attached to a
   pair (v, p) with p | 2n, and the finite-field conditions on the
-  character-orbit sums theta(x, y) when lambda is nondegenerate.  lambda is
+  character-orbit sums theta(x, y) when lambda is nondegenerate.  The theta
+  table is indexed by the exponent of x*y in Z/N, N = lcm(lambda, v); the
+  y-exponents of one candidate x form a coset of the order-v subgroup, that
+  is one column of the table's (v, N/v) view, so each condition is one
+  column reduction over the whole table instead of a loop over x.  lambda is
   a gcd over the exponent pairs (i, j) with 2^i = p^j mod v; it is read off
   a Lagrange-Gauss reduced basis of their lattice, so the gcd runs on
   integers of a few thousand bits instead of p^l - 1 itself.
@@ -473,6 +477,50 @@ def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
     raise ValueError(f"unknown theta mode {mode!r}")
 
 
+def _field_candidates(residues, in_fp, n: int, v: int, p: int, lam: int, m: int):
+    """The per-candidate conditions of field_check, one column at a time.
+
+    residues and in_fp are the N-vectors of _theta_tables, N = lcm(lam, v).
+    Candidate x_index = i pairs with the y-exponents i N/lam + k N/v mod N,
+    k < v: a coset of the order-v subgroup of Z/N.  Column c of the
+    (v, N/v) view of the table holds exactly the coset of c, and no
+    condition depends on the order within a coset, so each statistic is one
+    axis-0 reduction over the view, and candidate i reads column
+    i N/lam mod N/v.  m is reduced mod p before it multiplies theta, so no
+    product leaves int64.  Returns the dicts of the first min(lam, 64)
+    candidates and the number of candidates that pass.
+    """
+    N = residues.shape[0]
+    cols = N // v
+    R = residues.reshape(v, cols)
+    admissible = in_fp.reshape(v, cols).all(axis=0)
+    if m == 1:
+        count1 = (R == 1 % p).sum(axis=0)
+        count0 = (R == 0).sum(axis=0)
+        ok = (count1 == 2 * n * n) & (count0 == 2 * n + 1)
+    else:
+        mp = m % p
+        sum_ok = mp * (R.sum(axis=0) % p) % p == 0
+        range_violations = (mp * (1 - R) % p > min(m, p - 1)).sum(axis=0)
+        ok = sum_ok & (range_violations == 0)
+    col_of = np.arange(lam, dtype=np.int64) * (N // lam) % cols
+    candidates = []
+    for xi, c in enumerate(col_of[:64].tolist()):
+        if not admissible[c]:
+            candidates.append({"x_index": xi, "admissible": False})
+        elif m == 1:
+            candidates.append({
+                "x_index": xi, "admissible": True, "count_theta_1": int(count1[c]),
+                "count_theta_0": int(count0[c]), "passes": bool(ok[c]),
+            })
+        else:
+            candidates.append({
+                "x_index": xi, "admissible": True, "sum_ok": bool(sum_ok[c]),
+                "range_violations": int(range_violations[c]), "passes": bool(ok[c]),
+            })
+    return candidates, int((admissible & ok)[col_of].sum())
+
+
 def field_check(
     n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS,
     lam_cert: Optional[LambdaCertificate] = None,
@@ -482,7 +530,11 @@ def field_check(
     Excluded iff no x satisfies the applicable condition: the weighted sum
     m * sum_y theta(x,y) = 0 (mod p) with every reconstructed coefficient
     residue m(1-theta) in {0..m} when v < order, or the exact value counts
-    #theta=1 = 2n^2 and #theta=0 = 2n+1 when v equals the order.
+    #theta=1 = 2n^2 and #theta=0 = 2n+1 when v equals the order.  Every
+    theta(x, y) is one entry of the table of _theta_tables; the y of one x
+    form a coset of the order-v subgroup, a column of the table's (v, N/v)
+    view, so _field_candidates decides all lambda candidates from one
+    reduction per statistic over that view.
     """
     params = {"n": n, "v": v, "p": p}
     if lam_cert is None:
@@ -526,41 +578,13 @@ def field_check(
     assert frobenius(x_gen, lam_cert.l) == x_gen, "lambda-th root escaped F_{p^l}"
     residues, in_fp = _theta_tables(ctx, w, N, v, lam_cert.d, mode)
     m = lam_cert.m
-    x_step = N // lam
-    y_step = N // v
-    ks = np.arange(v, dtype=np.int64) * y_step % N
-    per_x = []
-    some_pass = False
-    for xi in range(lam):
-        gamma = (xi * x_step + ks) % N
-        if not in_fp[gamma].all():
-            per_x.append({"x_index": xi, "admissible": False})
-            continue
-        thetas = residues[gamma]
-        if m == 1:
-            count1 = int((thetas == 1 % p).sum())
-            count0 = int((thetas == 0).sum())
-            ok = count1 == 2 * n * n and count0 == 2 * n + 1
-            per_x.append({
-                "x_index": xi, "admissible": True, "count_theta_1": count1,
-                "count_theta_0": count0, "passes": ok,
-            })
-        else:
-            sum_ok = int(m * thetas.sum()) % p == 0
-            range_violations = int(((m * (1 - thetas)) % p > min(m, p - 1)).sum())
-            ok = sum_ok and range_violations == 0
-            per_x.append({
-                "x_index": xi, "admissible": True, "sum_ok": sum_ok,
-                "range_violations": range_violations, "passes": ok,
-            })
-        some_pass = some_pass or ok
+    candidates, passing = _field_candidates(residues, in_fp, n, v, p, lam, m)
     cert = {
         "lambda": lam, "mode": mode, "f": f, "l": lam_cert.l, "d": lam_cert.d,
         "m": m, "unity_order": N,
-        "candidates": per_x if lam <= 64 else per_x[:64],
-        "passing": sum(1 for c in per_x if c.get("passes")),
+        "candidates": candidates, "passing": passing,
     }
-    if not some_pass:
+    if not passing:
         which = "value counts" if m == 1 else "sum/range conditions"
         return CriterionOutcome(
             "field", Status.EXCLUDED, tier=Tier.UNCONDITIONAL,

@@ -234,15 +234,137 @@ def test_field_check_open_cases_stay_undecided():
     assert radius2.field_check(10, 13, 5).status is Status.UNDECIDED
 
 
+def _cert_sha256(out):
+    return hashlib.sha256(json.dumps(out.certificate, sort_keys=True).encode()).hexdigest()
+
+
 def test_field_check_n305_unity_order_38355():
-    # v = 2557, p = 61, f = 71, lambda = N = 38355: the largest theta table of
-    # scan 101..500.  The pinned values are what the linear-sum table gave
-    # (about 60 s for this one check); binary splitting takes a few seconds.
+    # v = 2557, p = 61, f = 71, lambda = N = 38355, v | lambda: the largest
+    # theta table of scan 101..500.  The mode, order and passing count are
+    # what the linear-sum table gave (57.5 s for this one check), the digest
+    # what the loop over the lambda candidates gave (2.5 s); with the column
+    # statistics of _field_candidates the check takes about 0.7 s.
     out = radius2.field_check(305, 2557, 61)
     assert out.status is Status.UNDECIDED
     cert = out.certificate
     assert (cert["mode"], cert["f"], cert["unity_order"]) == ("power_sum", 71, 38355)
     assert cert["passing"] == 38355
+    assert _cert_sha256(out) == (
+        "a5476aab6872b785a53d8f832aa64c0ecfcddc1b163e1579817477453ea0f483")
+
+
+# sha256 of the sorted certificate JSON, as the loop over the lambda
+# candidates computed it
+_FIELD_CERT_SHA256 = {
+    (14, 421, 7):  # m = 1
+        "b0ce40b5687b0db037d0d4e5718e567041cbfe9911616838c321cb8ddf95407e",
+    (687, 881, 229):  # trace mode, gcd(lambda, v) = 1
+        "bf6a603cc5630906d23df22eb4221f5c7d5fba2f43d2b5839e3dcd7a70c5c321",
+    (856, 421, 107):  # v | lambda = 38311
+        "7626266c2061921619965db88db69df47e8cdc38ac83220a60771e4b2950c055",
+}
+
+
+@pytest.mark.parametrize("n, v, p", sorted(_FIELD_CERT_SHA256))
+def test_field_check_certificate_pinned(n, v, p):
+    assert _cert_sha256(radius2.field_check(n, v, p)) == _FIELD_CERT_SHA256[n, v, p]
+
+
+def _field_candidates_reference(residues, in_fp, n, v, p, lam, m):
+    """Reference for radius2._field_candidates: the loop over the lambda
+    candidates that field_check ran before the column statistics, with one
+    gather and one dict per candidate.  Returns (per_x, some_pass)."""
+    N = residues.shape[0]
+    x_step = N // lam
+    y_step = N // v
+    ks = np.arange(v, dtype=np.int64) * y_step % N
+    per_x = []
+    some_pass = False
+    for xi in range(lam):
+        gamma = (xi * x_step + ks) % N
+        if not in_fp[gamma].all():
+            per_x.append({"x_index": xi, "admissible": False})
+            continue
+        thetas = residues[gamma]
+        if m == 1:
+            count1 = int((thetas == 1 % p).sum())
+            count0 = int((thetas == 0).sum())
+            ok = count1 == 2 * n * n and count0 == 2 * n + 1
+            per_x.append({
+                "x_index": xi, "admissible": True, "count_theta_1": count1,
+                "count_theta_0": count0, "passes": ok,
+            })
+        else:
+            sum_ok = int(m * thetas.sum()) % p == 0
+            range_violations = int(((m * (1 - thetas)) % p > min(m, p - 1)).sum())
+            ok = sum_ok and range_violations == 0
+            per_x.append({
+                "x_index": xi, "admissible": True, "sum_ok": sum_ok,
+                "range_violations": range_violations, "passes": ok,
+            })
+        some_pass = some_pass or ok
+    return per_x, some_pass
+
+
+def _candidate_table(p, m, n, v, lam, seed, planted, holes):
+    """Synthetic (residues, in_fp) for N = lcm(lam, v): random residues,
+    passing columns planted at `planted` (m = 1: 2n^2 ones and 2n+1 zeros
+    when v has room; m > 1: all zeros), in_fp False at `holes`."""
+    N = lam * v // math.gcd(lam, v)
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, p, size=(v, N // v))  # column c: the coset of c
+    for c in planted:
+        col = np.zeros(v, dtype=np.int64)
+        if m == 1:
+            col[:] = 2 % p
+            col[:2 * n * n] = 1
+            col[2 * n * n : 2 * n * n + 2 * n + 1] = 0
+        table[:, c] = rng.permutation(col)
+    in_fp = np.ones(N, dtype=bool)
+    in_fp[holes] = False
+    return table.reshape(N), in_fp
+
+
+@st.composite
+def _candidate_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 61]))
+    m = draw(st.one_of(st.just(1), st.integers(2, 3 * p + 2)))
+    n = draw(st.integers(1, 3))
+    v = draw(st.sampled_from([2, 3, 5, 7, 13, 25]))  # 5, 13, 25: 2n^2 + 2n + 1
+    if draw(st.booleans()):
+        lam = v * draw(st.integers(1, 12))
+    else:
+        lam = draw(st.integers(2, 150).filter(lambda l: math.gcd(l, v) == 1))
+    N = lam * v // math.gcd(lam, v)
+    planted = draw(st.lists(st.integers(0, N // v - 1), max_size=3))
+    holes = draw(st.lists(st.integers(0, N - 1), max_size=3))
+    return p, m, n, v, lam, draw(st.integers(0, 2**32 - 1)), planted, holes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_candidate_cases())
+@example((7, 1, 1, 5, 3, 0, [0, 2], [4]))  # m = 1, gcd(lambda, v) = 1, lambda <= 64
+@example((3, 1, 2, 13, 130, 1, [3], [20]))  # m = 1, v | lambda > 64
+@example((5, 12, 2, 13, 91, 2, [1], [7, 50]))  # m >= p, v | lambda > 64
+@example((61, 2, 1, 7, 100, 3, [5], [9]))  # 1 < m < p, gcd 1, lambda > 64
+def test_field_candidates_match_per_x_reference(case):
+    p, m, n, v, lam = case[:5]
+    residues, in_fp = _candidate_table(*case)
+    before = residues.copy(), in_fp.copy()
+
+    def reference(m):
+        per_x, some_pass = _field_candidates_reference(residues, in_fp, n, v, p, lam, m)
+        return json.dumps(per_x[:64]), sum(1 for c in per_x if c.get("passes")), some_pass
+
+    def fast(m):
+        candidates, passing = radius2._field_candidates(residues, in_fp, n, v, p, lam, m)
+        # json.dumps keeps the key order and refuses numpy ints and bools
+        return json.dumps(candidates), passing, passing > 0
+
+    assert fast(m) == reference(m)
+    if m > 1:  # m is reduced mod p first: a multiplier past int64 gives the same
+        assert fast(m % p + p * 2**64) == reference(m % p + p)
+    assert np.array_equal(residues, before[0]) and np.array_equal(in_fp, before[1])
 
 
 def test_field_check_caps():

@@ -231,6 +231,7 @@ _CHECK_4 = ["check", "--r", "2", "--n", "4"]
     pytest.param(["orbit", "--r", "3", "--n", "8", "--v", "23"], id="orbit_r3_generic"),
     pytest.param(["orbit", "--r", "3", "--n", "3", "--v", "3", "--p", "2", "--allow-generic"],
                  id="orbit_r3_small_v"),
+    pytest.param(["orbit", "--r", "3", "--n", "8", "--v", "7", "--p", "0"], id="orbit_r3_p_zero"),
     pytest.param(["counts", "--r", "2", "--to", "10", "--criteria", "bogus"],
                  id="unknown_criterion"),
     pytest.param(["counts", "--r", "3", "--to", "10", "--criteria", "kim"],
