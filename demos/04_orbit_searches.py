@@ -3,10 +3,13 @@
 
 For a divisor v of the group order and a prime p primitive mod v, every
 candidate value tau = chi(T) mod p lives in F_p[y]/Psi_v(y) (y plays the
-role of zeta + zeta^{-1}).  The search enumerates all candidates, keeps
-those consistent with the projected group-ring equation and the Frobenius
-action, reconstructs the 0/1 coefficients through the inversion formula,
-and classifies what survives:
+role of zeta + zeta^{-1}).  The search keeps the candidates consistent
+with the projected group-ring equation and the Frobenius action,
+reconstructs the 0/1 coefficients through the inversion formula, and
+classifies what survives.  At radius 2 those candidates are the roots of
+one polynomial over F_p, found by root-finding instead of enumerating all
+p^((v-1)/2) of them (the candidate counts printed below are the size of
+the space the search covers):
 
   quadratic_factor_1/2 - roots of tau^2 -+ tau - (2n -+ 1); these are real
       possibilities mod p, disposed by the published square preconditions
@@ -15,7 +18,7 @@ and classifies what survives:
       computation kills them through the reconstruction value at the
       principal point.
 
-The radius-3 analogue searches the 125 candidates of F_{5^3} for the v=7
+The radius-3 analogue scans all 125 candidates of F_{5^3} for the v=7
 quotient against the cubic system.
 """
 from leeperfect import radius2, radius3

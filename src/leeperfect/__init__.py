@@ -31,9 +31,8 @@ from .groupring import (
 )
 from .oracle import enumerate_abelian_groups, oracle_verdict, search_code
 from .outcomes import Caps, CriterionOutcome, InternalInconsistencyError, Status, Tier
+from .survey import VERSION as __version__
 from .survey import Verdict, check, counts, emit, parse_report, reproduce_table, scan
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AbelianGroup",

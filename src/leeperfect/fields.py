@@ -84,7 +84,13 @@ class PolyModRing:
             conv = np.zeros((max(A.shape[0], B.shape[0]), 2 * d - 1), dtype=np.int64)
             for i in range(d):
                 conv[:, i : i + d] += A[:, i : i + 1] * B
-        return (conv[:, :d] + conv[:, d:] @ self._red) % p
+        return self.reduce(conv)
+
+    def reduce(self, conv: np.ndarray) -> np.ndarray:
+        """Rows of 2 deg - 1 unreduced product coefficients, reduced mod the
+        modulus; the caller keeps the int64 sums in range (_fits_int64)."""
+        d = self.deg
+        return (conv[:, :d] + conv[:, d:] @ self._red) % self.p
 
     def square(self, A: np.ndarray) -> np.ndarray:
         return self.mul(A, A)
@@ -99,6 +105,12 @@ class PolyModRing:
             base = self.mul(base, base)
             e >>= 1
         return r[0]
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        """Inverse of a nonzero element (1-D); the modulus must be irreducible."""
+        if self.deg == 1:  # F_p: one integer inverse instead of a p - 2 power
+            return np.array([pow(int(a[0]), -1, self.p)], dtype=np.int64)
+        return self.pow(a, self.p**self.deg - 2)
 
     def frob_matrix(self, e: int) -> np.ndarray:
         """Matrix of z -> z^(p^e) on coefficient rows (row i holds (x^i)^(p^e))."""
@@ -150,11 +162,12 @@ class FieldCtx(PolyModRing):
             powers[k] = cur
         if not np.array_equal(powers[f], x):
             return False
+        modulus = np.array(self.modulus, dtype=np.int64)[:, None]
         for q in nt.factorize(f).primes():
             diff = (powers[f // q] - x) % p
             if not diff.any():
                 return False
-            if _poly_gcd_degree(list(diff), list(self.modulus), p) > 0:
+            if len(poly_gcd(prime_field(p), diff[:, None], modulus)) > 1:
                 return False
         return True
 
@@ -311,6 +324,52 @@ def exact_order_element(ctx: FieldCtx, k: int, rng) -> FieldElement:
             return z
 
 
+# -- polynomials over a field ------------------------------------------------------
+#
+# A polynomial over the field K (a PolyModRing with irreducible modulus, and
+# prime_field(p) for F_p itself) is an (m, K.deg) int64 array of coefficient
+# rows, constant term first.  The helpers return it trimmed: the top row is
+# nonzero, and the zero polynomial has m = 0.
+
+
+def prime_field(p: int) -> PolyModRing:
+    """F_p as the ring F_p[x]/(x): its elements are rows of length 1."""
+    return PolyModRing(p, (0, 1))
+
+
+def poly_trim(a: np.ndarray) -> np.ndarray:
+    m = len(a)
+    while m and not a[m - 1].any():
+        m -= 1
+    return a[:m]
+
+
+def poly_divmod(K: PolyModRing, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of a by a nonzero b over K, by long division
+    by b made monic."""
+    r, b = poly_trim(a % K.p), poly_trim(b % K.p)
+    db = len(b) - 1
+    if len(r) <= db:
+        return r[:0], r
+    monic = b[-1, 0] == 1 and not b[-1, 1:].any()
+    if not monic:
+        lead_inv = K.inv(b[-1])[None, :]
+        b = K.mul(b, lead_inv)
+    q = np.empty((len(r) - db, K.deg), dtype=np.int64)
+    for i in range(len(r) - 1, db - 1, -1):
+        q[i - db] = r[i]
+        r[i - db : i + 1] = (r[i - db : i + 1] - K.mul(q[i - db : i - db + 1], b)) % K.p
+    return q if monic else K.mul(q, lead_inv), poly_trim(r[:db])
+
+
+def poly_gcd(K: PolyModRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Monic gcd of a and b over K (the zero polynomial when both are zero)."""
+    a, b = poly_trim(a % K.p), poly_trim(b % K.p)
+    while len(b):
+        a, b = b, poly_divmod(K, a, b)[1]
+    return K.mul(a, K.inv(a[-1])[None, :]) if len(a) else a
+
+
 # -- internal helpers -----------------------------------------------------------
 
 
@@ -322,27 +381,3 @@ def _has_root(coeffs: list[int], p: int) -> bool:
     for c in reversed(coeffs):
         val = (val * x + c) % p
     return not val.all()
-
-
-def _poly_gcd_degree(a: list[int], b: list[int], p: int) -> int:
-    """Degree of gcd(a, b) over F_p; 0 means coprime up to units."""
-
-    def norm(v):
-        v = [int(c) % p for c in v]
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = norm(a), norm(b)
-    while b:
-        # a mod b
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        while len(r) >= len(b) and r:
-            lead = r[-1] * inv % p
-            shift = len(r) - len(b)
-            for i, c in enumerate(b):
-                r[shift + i] = (r[shift + i] - lead * c) % p
-            r = norm(r)
-        a, b = b, r
-    return max(len(a) - 1, 0)

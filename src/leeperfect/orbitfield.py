@@ -18,17 +18,24 @@ search needs only that one equation in tau.
 
 CosineField is a fields.PolyModRing with modulus Psi_v mod p: every
 candidate-level operation is the shared batched kernel on (N, deg) integer
-arrays, so a full scan of F_{11^6} (about 1.8M candidates) runs in seconds.
-On top of the kernel it adds the paired powers, the class values, the
-chunked root scan and the inversion back to the coefficients a_g.
+arrays.  On top of the kernel it adds the paired powers, the class values,
+two ways to find the candidates that solve a projected equation, and the
+inversion back to the coefficients a_g.  roots scans the whole field in
+chunks (1.8M candidates for F_{11^6}, about a second); poly_roots splits a
+polynomial over F_p whose roots all lie in the field (Cantor-Zassenhaus),
+which costs milliseconds when the equation reduces to one.  Radius 2 does
+reduce: its survivors are the roots of a polynomial of degree at most
+2^k (radius2._periodic_roots), and it scans only when that degree makes
+the polynomial arithmetic dearer than the scan.  The radius-3 cubic is not
+a polynomial in tau alone, so radius 3 scans its 125 candidates.
 
 The radius-2 and radius-3 orbit criteria share everything after their
-projected equation: class_survey scans for its roots and records each
-survivor (its factor class, the coefficient value at the principal point),
-budget_skip refuses a candidate space over the search budget, and
-search_outcome turns a class summary into the three-way verdict.  Each
-radius module keeps its residual, its survivor re-checks and factor tests,
-its preconditions and its reason strings.
+candidate rows: class_survey records each survivor (its factor class, the
+coefficient value at the principal point), budget_skip refuses a candidate
+space over the search budget, and search_outcome turns a class summary
+into the three-way verdict.  Each radius module keeps its residual, its
+survivor re-checks and factor tests, its preconditions and its reason
+strings.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nt
-from .fields import PolyModRing
+from .fields import PolyModRing, poly_divmod, poly_gcd
 from .outcomes import Caps, CriterionOutcome, Status, Tier
 
 # candidates per batch of the root scan; the kernel's temporaries on a batch
@@ -102,6 +109,57 @@ class CosineField(PolyModRing):
             found.append(tau[~residual(tau).any(axis=1)])
         return np.concatenate(found)
 
+    def poly_roots(self, f, seed: int = 0) -> np.ndarray:
+        """Every root of the monic squarefree polynomial f over F_p (coefficients
+        from the constant term up, all of its roots in this field), as digit
+        rows in enumeration order.  Cantor-Zassenhaus: a = (x + delta)^((q-1)/2)
+        mod f, computed in this field's F[x]/f with f's own F_p reduction rows,
+        is 1 at about half of the roots for a random delta, so gcd(h, a - 1)
+        splits every pending factor h of f in about half the rounds.  delta
+        comes from a generator fixed by seed; the rows do not depend on it.
+        Needs an odd p."""
+        p, s = self.p, len(f) - 1
+        if p == 2:
+            raise ValueError("Cantor-Zassenhaus splitting needs an odd p")
+        if s == 0:
+            return np.zeros((0, self.deg), dtype=np.int64)
+        lifted = np.zeros((s + 1, self.deg), dtype=np.int64)
+        lifted[:, 0] = f
+        pending, found = [lifted], []
+        rx = PolyModRing(p, f)
+        i, j = np.divmod(np.arange(s * s), s)
+        rng = nt.seeded_rng(seed, "poly-roots", p, self.v)
+
+        def mulmod(a, b):
+            conv = np.zeros((2 * s - 1, self.deg), dtype=np.int64)
+            np.add.at(conv, i + j, self.mul(a[i], b[j]))
+            return rx.reduce(conv.T % p).T
+
+        while True:
+            found += [-h[0] % p for h in pending if len(h) == 2]
+            pending = [h for h in pending if len(h) > 2]
+            if not pending:
+                break
+            a = np.zeros((s, self.deg), dtype=np.int64)
+            a[0, 0] = 1
+            base = np.zeros((s, self.deg), dtype=np.int64)
+            base[0] = [rng.randrange(p) for _ in range(self.deg)]
+            base[1, 0] = 1
+            e = (self.size - 1) // 2
+            while e:
+                if e & 1:
+                    a = mulmod(a, base)
+                base = mulmod(base, base)
+                e >>= 1
+            a[0, 0] = (a[0, 0] - 1) % p
+            split = []
+            for h in pending:
+                g = poly_gcd(self, h, a)
+                split += [g, poly_divmod(self, h, g)[0]] if 1 < len(g) < len(h) else [h]
+            pending = split
+        rows = np.array(found, dtype=np.int64).reshape(-1, self.deg)
+        return rows[np.lexsort(rows.T)]
+
     def coefficients(self, values: dict, total: int) -> list[int]:
         """Inversion a_g = (total + sum_j values[j] * c_(jg)) / v, g = 0..v-1,
         from the 1-row class values j = 1..deg; asserts that every a_g lands in
@@ -135,13 +193,14 @@ class CosineField(PolyModRing):
         return min(j, self.v - j)
 
 
-def class_survey(F: CosineField, n_mod_p: int, total: int, residual, kind_of) -> dict:
-    """Summary of one class: every root tau of the batched residual, with
-    kind_of(row, class values) (which re-asserts the survivor's invariants
-    and names its factor class, "other" for none) and the reconstructed
-    coefficient at the principal point, expected to equal total."""
+def class_survey(F: CosineField, rows: np.ndarray, n_mod_p: int, total: int, kind_of) -> dict:
+    """Summary of one class from its survivor rows tau (roots of the class's
+    residual, in enumeration order), with kind_of(row, class values) (which
+    re-asserts the survivor's invariants and names its factor class, "other"
+    for none) and the reconstructed coefficient at the principal point,
+    expected to equal total."""
     records = []
-    for row in F.roots(residual):
+    for row in rows:
         values = F.class_values(row[None, :])
         kind = kind_of(row, values)
         point_value = F.coefficients(values, total)[0]

@@ -38,7 +38,8 @@ import numpy as np
 
 from . import nt
 from .fields import (
-    build_field, exact_order_element, frobenius, in_prime_subfield, trace_to_prime,
+    PolyModRing, _fits_int64, build_field, exact_order_element, frobenius, in_prime_subfield,
+    poly_gcd, prime_field, trace_to_prime,
 )
 from .nt import INFINITY, BudgetExceeded
 from .orbitfield import CosineField, budget_skip, class_survey, search_outcome
@@ -556,10 +557,10 @@ def field_check(
             params={**params, "f": f},
         )
     N = lam * v // math.gcd(lam, v)
-    if v > caps.max_unity_enum or lam > caps.max_unity_enum or N > caps.max_unity_enum:
+    if N > caps.max_unity_enum:
         return CriterionOutcome(
             "field", Status.SKIPPED,
-            reason=f"unity enumeration {max(N, v, lam)} exceeds max_unity_enum {caps.max_unity_enum}",
+            reason=f"unity enumeration {N} exceeds max_unity_enum {caps.max_unity_enum}",
             params={**params, "f": f},
         )
     mode = "power_sum" if lam_cert.h2 == v - 1 else "trace"
@@ -604,6 +605,39 @@ def field_check(
 ORBIT_INSTANCES = {13: 11, 17: 3}  # v -> validated companion prime p
 
 
+def _roots_cheaper(F: CosineField, k: int) -> bool:
+    """Whether the radius-2 candidates come from the roots of H = g^(k)(x) - x
+    (_periodic_roots) rather than a scan of F: the dense ring F_p[x]/H costs
+    (2^k)^2, the size of its reduction matrix, against the p^((v-1)/2)
+    candidates of the scan, and its int64 products must not overflow.  At
+    p = 2, 2^k = p^((v-1)/2), so that case always scans."""
+    return 4**k <= F.size and _fits_int64(F.p, 2**k)
+
+
+def _periodic_roots(F: CosineField, two_n: int, e2: int, k: int) -> np.ndarray:
+    """Every tau in F with Frob^e2(tau) = g(tau), g(x) = 2n - x^2, as digit
+    rows in enumeration order.  g has coefficients in F_p, so such a tau has
+    Frob^(j e2)(tau) = g^(j)(tau); Frob^e2 has order k on F, so tau is a root
+    of H = g^(k)(x) - x, of degree 2^k.  The taus are then the roots in F of
+    gcd(H, x^(p^deg) - x, x^(p^e2) - g(x)), with both powers taken in
+    F_p[x]/H."""
+    p = F.p
+    gk = np.array([0, 1], dtype=np.int64)
+    for _ in range(k):
+        gk = -np.convolve(gk, gk) % p
+        gk[0] = (gk[0] + two_n) % p
+    gk[1] -= 1
+    H = -gk % p  # made monic: g^(k) has leading coefficient -1
+    ring = PolyModRing(p, H)
+    x = ring.x_vec()
+    g_x = -ring.square(x[None, :])[0]
+    g_x[0] += two_n
+    found = H[:, None]
+    for r in (ring.pow(x, p**F.deg) - x, ring.pow(x, p**e2) - g_x):
+        found = poly_gcd(prime_field(p), found, r[:, None])
+    return F.poly_roots(found[:, 0])
+
+
 @lru_cache(maxsize=None)
 def _orbit_r2_class(v: int, p: int, n_mod_p: int) -> dict:
     """Class-level exhaustive search; depends on n only through n mod p."""
@@ -639,7 +673,14 @@ def _orbit_r2_class(v: int, p: int, n_mod_p: int) -> dict:
         # are the chain steps at the other classes, re-asserted by kind_of
         return F.frob(tau, e2) - chain_step(tau)
 
-    return read_only(class_survey(F, n_mod_p, (2 * n_mod_p + 1) % p, residual, kind_of))
+    k = F.deg // math.gcd(e2, F.deg)  # the order of 2 in (Z/v)*/{+-1}
+    if _roots_cheaper(F, k):
+        # the residual still decides: it keeps every root that solves it
+        rows = _periodic_roots(F, two_n, e2, k)
+        rows = rows[~residual(rows).any(axis=1)]
+    else:
+        rows = F.roots(residual)
+    return read_only(class_survey(F, rows, n_mod_p, (2 * n_mod_p + 1) % p, kind_of))
 
 
 def orbit_check(

@@ -131,7 +131,7 @@ def _orbit_r3_class(v: int, p: int, n_mod_p: int) -> dict:
         triv_quad[0] = (triv_quad[0] - (six_n - 2)) % p
         return "trivial_factor" if not row.any() or not triv_quad.any() else "other"
 
-    summary = class_survey(F, n_mod_p, (2 * n_mod_p + 1) % p, cubic_at_1, kind_of)
+    summary = class_survey(F, F.roots(cubic_at_1), n_mod_p, (2 * n_mod_p + 1) % p, kind_of)
     nontrivial = [r for r in summary["survivors"] if r["class"] == "other"]
     return read_only({
         **summary,

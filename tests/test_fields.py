@@ -13,6 +13,9 @@ from leeperfect.fields import (
     exact_order_element,
     frobenius,
     in_prime_subfield,
+    poly_divmod,
+    poly_gcd,
+    prime_field,
     trace_to_prime,
 )
 from leeperfect.nt import BudgetExceeded
@@ -292,3 +295,85 @@ def test_kernel_refuses_the_ring_that_wrapped():
     # schoolbook product mod p
     with pytest.raises(ValueError):
         PolyModRing(1_000_003, [3] * 40 + [1])
+
+
+# -- polynomials over F_p: the helpers against schoolbook lists ------------------
+
+
+def _sb_trim(a):
+    a = [c for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _sb_divmod(a, b, p):
+    """Long division on coefficient lists, constant term first."""
+    r, b = _sb_trim([c % p for c in a]), _sb_trim([c % p for c in b])
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    inv = pow(b[-1], -1, p)
+    while len(r) >= len(b):
+        c, shift = r[-1] * inv % p, len(r) - len(b)
+        q[shift] = c
+        for k, bk in enumerate(b):
+            r[shift + k] = (r[shift + k] - c * bk) % p
+        r = _sb_trim(r)
+    return q, r
+
+
+def _sb_gcd(a, b, p):
+    a, b = _sb_trim([c % p for c in a]), _sb_trim([c % p for c in b])
+    while b:
+        a, b = b, _sb_divmod(a, b, p)[1]
+    return [c * pow(a[-1], -1, p) % p for c in a] if a else []
+
+
+def _column(a):
+    return np.array(a, dtype=np.int64).reshape(-1, 1)
+
+
+_poly = st.lists(st.integers(0, 200), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 101]), _poly, _poly, _poly)
+def test_fp_poly_helpers_match_schoolbook(p, a, b, c):
+    fp = prime_field(p)
+    # shared factors make the gcd nontrivial
+    a, b = (_sb_trim(np.convolve(c, x).tolist()) if c and x else x for x in (a, b))
+    if _sb_trim([x % p for x in b]):
+        q, r = poly_divmod(fp, _column(a), _column(b))
+        assert (q[:, 0].tolist(), r[:, 0].tolist()) == _sb_divmod(a, b, p)
+    assert poly_gcd(fp, _column(a), _column(b))[:, 0].tolist() == _sb_gcd(a, b, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(0, 6), min_size=1, max_size=6),
+       st.integers(0, 2))
+def test_x_to_the_p_power_mod_m_matches_schoolbook(p, low, j):
+    # x^(p^j) mod m, the step the orbit root-finder and Rabin's test share
+    m = [c % p for c in low] + [1]
+    ring = PolyModRing(p, m)
+    want = [1] + [0] * (len(m) - 2)
+    for _ in range(p**j):
+        want = _schoolbook(want, [0, 1], m, p)
+    assert ring.pow(ring.x_vec(), p**j).tolist() == want
+
+
+def test_poly_roots_are_the_subfield_whatever_the_seed():
+    # x^(3^2) - x splits into the 9 elements of F_9, the Frobenius^2 fixed
+    # points of F_{3^8}; x^11 - x into the prime field F_11 inside F_{11^6}
+    for (v, p), d in (((17, 3), 2), ((13, 11), 1)):
+        F = CosineField(p, v)
+        f = [0, -1 % p] + [0] * (p**d - 2) + [1]
+        every = F.enumerate(0, F.size) if F.size < 10**4 else None
+        for seed in (0, 1):
+            rows = F.poly_roots(f, seed)
+            if every is not None:
+                want = every[(F.frob(every, d) == every).all(axis=1)]
+            else:
+                want = np.array([F.scalar_vec(a) for a in range(p)])
+            assert np.array_equal(rows, want)
+    F = CosineField(11, 13)
+    assert F.poly_roots([1]).shape == (0, 6)
+    assert F.poly_roots([4, 1]).tolist() == [[7, 0, 0, 0, 0, 0]]

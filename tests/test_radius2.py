@@ -371,6 +371,10 @@ def test_field_check_caps():
     caps = dataclasses.replace(Caps(), max_field_degree=10)
     out = radius2.field_check(14, 421, 7, caps)
     assert out.status is Status.SKIPPED
+    # N = lcm(lambda, v) bounds both lambda and v, so N alone decides the gate
+    out = radius2.field_check(14, 421, 7, Caps(max_unity_enum=1000))
+    assert out.status is Status.SKIPPED
+    assert out.reason == "unity enumeration 1263 exceeds max_unity_enum 1000"
     with pytest.raises(ValueError):
         radius2.field_check(102, 21013, 3)  # lambda = 1 is degenerate
 
@@ -497,6 +501,56 @@ def test_orbit_r2_class_dict_pinned(v, p, n_mod_p):
     cls = radius2._orbit_r2_class(v, p, n_mod_p)
     digest = hashlib.sha256(json.dumps(cls, sort_keys=True).encode()).hexdigest()
     assert digest == _ORBIT_R2_CLASS_SHA256[v, p, n_mod_p]
+
+
+def _r2_residual(F, n_mod_p):
+    """The class residual Frob^e2(tau) - (2n - tau^2) of _orbit_r2_class."""
+    two_n, e2 = 2 * n_mod_p % F.p, F.frob_exponent[F.pm_class(2)]
+
+    def residual(tau):
+        g = -F.square(tau) % F.p
+        g[:, 0] = (g[:, 0] + two_n) % F.p
+        return (F.frob(tau, e2) - g) % F.p
+
+    return residual
+
+
+def _order_of_2(F):
+    return F.deg // math.gcd(F.frob_exponent[F.pm_class(2)], F.deg)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("v, p, n_mod_p", sorted(_ORBIT_R2_CLASS_SHA256))
+def test_orbit_r2_root_finder_matches_the_scan(v, p, n_mod_p):
+    # the chunked scan of all p^((v-1)/2) candidates is the root-finder's oracle
+    F = CosineField(p, v)
+    assert radius2._roots_cheaper(F, _order_of_2(F))
+    scan = F.roots(_r2_residual(F, n_mod_p))
+    cls = radius2._orbit_r2_class(v, p, n_mod_p)
+    assert [r["tau"] for r in cls["survivors"]] == scan.tolist()
+
+
+@pytest.mark.parametrize("v, p, roots_cheaper", [(5, 7, True), (5, 3, False)])
+def test_orbit_r2_candidate_sources_agree_on_generic_instances(v, p, roots_cheaper, monkeypatch):
+    # k = 2 at v = 5: (2^k)^2 = 16 against 7^2 = 49 candidates (root-finding)
+    # and against 3^2 = 9 (scan); the other source must give the same verdicts
+    F = CosineField(p, v)
+    assert radius2._roots_cheaper(F, _order_of_2(F)) is roots_cheaper
+    dims = [n for n in range(1, 60) if radius2.order_r2(n) % v == 0]
+
+    def verdicts():
+        outs = [radius2.orbit_check(n, v, p=p, allow_generic=True) for n in dims]
+        return [(o.status, o.tier, o.reason, o.certificate) for o in outs]
+
+    chosen = verdicts()
+    assert {n % p for n, o in zip(dims, chosen) if o[0] is not Status.NOT_APPLICABLE} == set(range(p))
+    cheaper = radius2._roots_cheaper
+    monkeypatch.setattr(radius2, "_roots_cheaper", lambda F, k: not cheaper(F, k))
+    radius2._orbit_r2_class.cache_clear()
+    try:
+        assert verdicts() == chosen
+    finally:
+        radius2._orbit_r2_class.cache_clear()
 
 
 def test_orbit_tests_divisibility_before_primality():

@@ -348,3 +348,9 @@ def test_check_factors_the_order_once(monkeypatch):
         v = check(n, 2, criteria=["kim", "small_v"])
         assert v.outcomes[0].certificate["evaluated"]  # kim had a divisor to test
         assert calls.count(radius2.order_r2(n)) == 1
+
+
+def test_package_version_is_the_report_version():
+    # survey.VERSION lands in every JSON report; the package and its metadata
+    # (pyproject's dynamic version) read that one definition
+    assert leeperfect.__version__ == survey.VERSION
