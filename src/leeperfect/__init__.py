@@ -16,7 +16,6 @@ from .geometry import (
     group_order_r2,
     group_order_r3,
     lee_distance,
-    moore_bound_abelian,
     render_tiling,
     sphere_size,
     verify_witness,
@@ -53,7 +52,6 @@ __all__ = [
     "group_order_r2",
     "group_order_r3",
     "lee_distance",
-    "moore_bound_abelian",
     "oracle_verdict",
     "parse_report",
     "power_map",

@@ -110,11 +110,17 @@ class PolyModRing:
         """Inverse of a nonzero element (1-D); the modulus must be irreducible."""
         if self.deg == 1:  # F_p: one integer inverse instead of a p - 2 power
             return np.array([pow(int(a[0]), -1, self.p)], dtype=np.int64)
-        return self.pow(a, self.p**self.deg - 2)
+        return self.pow(a, self.size - 2)
+
+    @property
+    def size(self) -> int:
+        """p^deg, the number of elements."""
+        return self.p**self.deg
 
     def frob_matrix(self, e: int) -> np.ndarray:
-        """Matrix of z -> z^(p^e) on coefficient rows (row i holds (x^i)^(p^e))."""
-        e %= self.deg
+        """Matrix of z -> z^(p^e) on coefficient rows (row i holds (x^i)^(p^e)),
+        e >= 0.  The exponent is taken as given: only a field has
+        z^(p^deg) = z."""
         if e not in self._frob:
             if e == 1:
                 xp = self.pow(self.x_vec(), self.p)[None, :]
@@ -145,7 +151,6 @@ class FieldCtx(PolyModRing):
     def __init__(self, p: int, modulus: Iterable[int]):
         super().__init__(p, modulus)
         self.f = self.deg
-        self.order = p**self.f
         if not self._is_irreducible():
             raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
 
@@ -242,7 +247,7 @@ class FieldElement:
     def inv(self) -> "FieldElement":
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.owner.order - 2)
+        return _element(self.owner, self.owner.inv(self.row()))
 
     def __bool__(self):
         return any(self.coeffs)
@@ -289,32 +294,18 @@ def build_field(p: int, f: int, seed: int = 0, max_degree: int = DEFAULT_MAX_DEG
 
 
 def frobenius(e: FieldElement, k: int) -> FieldElement:
-    """e^(p^k) via the precomputed p-th-power linear maps."""
+    """e^(p^k) via the precomputed p-th-power linear maps; k is taken mod f,
+    since z^(p^f) = z in F_{p^f}."""
     if k < 0:
         raise ValueError("negative Frobenius power")
-    return _element(e.owner, e.owner.frob(e.row(), k))
-
-
-def trace_to_prime(e: FieldElement) -> int:
-    """Sum of e^(p^k) over k < f, asserted to land in the prime subfield."""
-    ctx = e.owner
-    out = e.row() @ ctx.trace_matrix() % ctx.p
-    if out[1:].any():
-        raise AssertionError("trace did not land in the prime subfield")
-    return int(out[0])
-
-
-def in_prime_subfield(e: FieldElement) -> Optional[int]:
-    if any(e.coeffs[1:]):
-        return None
-    return e.coeffs[0]
+    return _element(e.owner, e.owner.frob(e.row(), k % e.owner.f))
 
 
 def exact_order_element(ctx: FieldCtx, k: int, rng) -> FieldElement:
-    """g^((order-1)/k) for random nonzero g drawn from rng, until one has
-    exact multiplicative order k (k must divide order - 1)."""
+    """g^((size-1)/k) for random nonzero g drawn from rng, until one has
+    exact multiplicative order k (k must divide size - 1)."""
     prime_divs = nt.factorize(k).primes()
-    cofactor = (ctx.order - 1) // k
+    cofactor = (ctx.size - 1) // k
     while True:
         g = ctx.random_element(rng)
         if not g:

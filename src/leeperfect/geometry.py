@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .groupring import AbelianGroup
 from .nt import BudgetExceeded
+
+if TYPE_CHECKING:  # groupring imports this module for the orders
+    from .groupring import AbelianGroup
 
 LeeVector = tuple[int, ...]
 
@@ -27,20 +29,13 @@ def sphere_size(n: int, r: int) -> int:
 
 
 def group_order_r2(n: int) -> int:
-    order = 2 * n * n + 2 * n + 1
-    assert order == sphere_size(n, 2)
-    return order
+    """sphere_size(n, 2), the order of a radius-2 tiling group."""
+    return 2 * n * n + 2 * n + 1
 
 
 def group_order_r3(n: int) -> int:
-    order = 1 + 6 * n * n + 4 * n * (n - 1) * (n - 2) // 3
-    assert order == sphere_size(n, 3)
-    return order
-
-
-def moore_bound_abelian(d: int, k: int) -> int:
-    """Sphere-size upper bound for abelian Cayley graphs of degree 2d, diameter k."""
-    return sphere_size(d, k)
+    """sphere_size(n, 3), the order of a radius-3 tiling group."""
+    return 1 + 6 * n * n + 4 * n * (n - 1) * (n - 2) // 3
 
 
 def enumerate_sphere(n: int, r: int, cap: Optional[int] = None) -> list[LeeVector]:
@@ -97,22 +92,13 @@ class WitnessCheck:
     collision: Optional[tuple[LeeVector, LeeVector]] = None
 
 
-def witness_images(w: CodeWitness) -> Iterator[tuple[LeeVector, tuple[int, ...]]]:
-    G = w.group
-    for vec in enumerate_sphere(w.n, w.r):
-        img = G.identity()
-        for coord, gen in zip(vec, w.generators):
-            if coord:
-                img = G.add(img, G.scale(coord, gen))
-        yield vec, img
-
-
 def verify_witness(w: CodeWitness) -> WitnessCheck:
     """All sphere images distinct (hence bijective by the order count)."""
     if w.group.order != sphere_size(w.n, w.r):
         raise ValueError("group order does not equal the sphere size")
     seen: dict[tuple[int, ...], LeeVector] = {}
-    for vec, img in witness_images(w):
+    for vec in enumerate_sphere(w.n, w.r):
+        img = w.group.image(vec, w.generators)
         if img in seen:
             return WitnessCheck(False, (seen[img], vec))
         seen[img] = vec
@@ -135,8 +121,7 @@ def render_tiling(w: CodeWitness, width: int = 26, height: int = 13) -> str:
     for y in range(height - 1, -1, -1):
         row = []
         for x in range(width):
-            img = G.add(G.scale(x, w.generators[0]), G.scale(y, w.generators[1]))
-            idx = G.index(img)
+            idx = G.index(G.image((x, y), w.generators))
             row.append("*" if idx == 0 else _GLYPHS[idx % len(_GLYPHS)])
         rows.append(" ".join(row))
     return "\n".join(rows)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import nt
+from .geometry import group_order_r2, group_order_r3
 
 
 def _invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
@@ -84,6 +85,15 @@ class AbelianGroup:
 
     def scale(self, t: int, a: Sequence[int]) -> tuple[int, ...]:
         return tuple(t * x % m for x, m in zip(a, self.cyclic_orders))
+
+    def image(self, coords: Sequence[int], gens: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        """sum of c_i g_i, the image of the Lee vector c under the generator
+        images g_i; coordinates past len(gens) are ignored."""
+        img = self.identity()
+        for c, g in zip(coords, gens):
+            if c:
+                img = self.add(img, self.scale(c, g))
+        return img
 
     def index(self, a: Sequence[int]) -> int:
         i = 0
@@ -218,7 +228,7 @@ class IdentityReport:
 def verify_r2_identity(T: GroupRingElement, n: int) -> IdentityReport:
     """Exact check of T^2 = 2*G - T^(2) + 2n over a group of order 2n^2+2n+1."""
     G = T.group
-    if G.order != 2 * n * n + 2 * n + 1:
+    if G.order != group_order_r2(n):
         raise ValueError(f"group order {G.order} does not match 2n^2+2n+1 for n={n}")
     lhs = T * T
     rhs = 2 * all_ones(G) - power_map(T, 2) + (2 * n) * identity_element(G)
@@ -228,7 +238,7 @@ def verify_r2_identity(T: GroupRingElement, n: int) -> IdentityReport:
 def verify_r3_identity(T: GroupRingElement, n: int) -> IdentityReport:
     """Exact check of T^3 = 6*G - 3*T^(2)*T - 2*T^(3) + 6n*T."""
     G = T.group
-    expected = 1 + 6 * n * n + 4 * n * (n - 1) * (n - 2) // 3
+    expected = group_order_r3(n)
     if G.order != expected:
         raise ValueError(f"group order {G.order} does not match the radius-3 order {expected}")
     lhs = T * T * T

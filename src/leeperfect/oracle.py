@@ -119,10 +119,7 @@ def search_code(
             raise BudgetExceeded("witness search node budget exhausted")
         new_images = {}
         for vec in by_level[k]:
-            img = identity
-            for coord, gen in zip(vec, gens):
-                if coord:
-                    img = group.add(img, group.scale(coord, gen))
+            img = group.image(vec, gens)
             if img in images or img in new_images:
                 return None
             new_images[img] = vec

@@ -183,22 +183,21 @@ class CosineField(PolyModRing):
             idx = idx // self.p
         return out
 
-    @property
-    def size(self) -> int:
-        return self.p**self.deg
-
     def pm_class(self, j: int) -> int:
         """Representative of {j, -j} mod v in 1..(v-1)/2 (0 for the identity)."""
         j %= self.v
         return min(j, self.v - j)
 
 
-def class_survey(F: CosineField, rows: np.ndarray, n_mod_p: int, total: int, kind_of) -> dict:
+def class_survey(F: CosineField, rows: np.ndarray, n_mod_p: int, kind_of) -> dict:
     """Summary of one class from its survivor rows tau (roots of the class's
     residual, in enumeration order), with kind_of(row, class values) (which
     re-asserts the survivor's invariants and names its factor class, "other"
     for none) and the reconstructed coefficient at the principal point,
-    expected to equal total."""
+    expected to equal total = 2n + 1 mod p: the coefficient sum of
+    T = 1 + sum of (g_i + -g_i), the same at both radii and kept by the
+    projection onto the order-v quotient."""
+    total = (2 * n_mod_p + 1) % F.p
     records = []
     for row in rows:
         values = F.class_values(row[None, :])

@@ -38,16 +38,12 @@ import numpy as np
 
 from . import nt
 from .fields import (
-    PolyModRing, _fits_int64, build_field, exact_order_element, frobenius, in_prime_subfield,
-    poly_gcd, prime_field, trace_to_prime,
+    PolyModRing, _fits_int64, build_field, exact_order_element, frobenius, poly_gcd, prime_field,
 )
+from .geometry import group_order_r2
 from .nt import INFINITY, BudgetExceeded
 from .orbitfield import CosineField, budget_skip, class_survey, search_outcome
 from .outcomes import Caps, CriterionOutcome, DEFAULT_CAPS, Status, Tier, read_only
-
-
-def order_r2(n: int) -> int:
-    return 2 * n * n + 2 * n + 1
 
 
 def _divisor_factorization(d: int, fac: nt.Factorization) -> nt.Factorization:
@@ -77,7 +73,7 @@ def kim_check(
     order's factorization when the caller already has it."""
     if n < 2:
         raise ValueError("kim_check requires n >= 2")
-    order = order_r2(n)
+    order = group_order_r2(n)
     if fac is None:
         try:
             fac = nt.factorize(order, budget=caps.factor_budget, seed=caps.seed)
@@ -157,7 +153,7 @@ def small_v_check(n: int) -> CriterionOutcome:
     the order passes its square precondition on 8n-3."""
     if n < 2:
         raise ValueError("small_v_check requires n >= 2")
-    order = order_r2(n)
+    order = group_order_r2(n)
     params = {"n": n, "order": order}
     c = nt.is_perfect_square(8 * n + 1)
     if c is not None:
@@ -314,7 +310,7 @@ def lambda_value(n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS) -> LambdaCer
     For prime v, j0 always exists, so the data are defined whether or not 2
     and p generate the units mod v; two_and_p_generate only gates the
     criterion."""
-    order = order_r2(n)
+    order = group_order_r2(n)
     if order % v != 0 or not nt.is_prime(v):
         raise ValueError(f"{v} is not a prime divisor of the order {order}")
     if (2 * n) % p != 0:
@@ -393,26 +389,6 @@ def lambda_check(n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS) -> Criterion
 # ---------------------------------------------------------------------------
 
 
-def theta(x, y, v: int, d: int, mode: str) -> Optional[int]:
-    """The orbit sum of (xy)^(2^i): plain power sum when 2 generates the
-    units mod v, trace form otherwise.  None if the value leaves F_p
-    (such x cannot arise from integer coefficients)."""
-    t = x * y
-    if mode == "power_sum":
-        acc = t
-        for _ in range(v - 2):
-            t = t * t
-            acc = acc + t
-        return in_prime_subfield(acc)
-    if mode == "trace":
-        total = 0
-        for _ in range(d):
-            total += trace_to_prime(t)
-            t = t * t
-        return total % x.owner.p
-    raise ValueError(f"unknown theta mode {mode!r}")
-
-
 @lru_cache(maxsize=16)
 def _field_ctx(p: int, f: int, seed: int, max_degree: int):
     return build_field(p, f, seed=seed, max_degree=max_degree)
@@ -452,7 +428,7 @@ def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
     of L = v - 1 rows of W (power sum) or of L = d entries of the trace
     vector (trace), taken by binary splitting in O(log L) gathers.
     Afterwards each (x, y) pair is a single lookup.  Returns
-    (residues, in_prime_subfield) as N-vectors.
+    (residues, in_fp) as N-vectors, in_fp marking the values in F_p.
     """
     f, p = ctx.f, ctx.p
     W = np.zeros((N, f), dtype=np.int64)
@@ -633,7 +609,7 @@ def _periodic_roots(F: CosineField, two_n: int, e2: int, k: int) -> np.ndarray:
     g_x = -ring.square(x[None, :])[0]
     g_x[0] += two_n
     found = H[:, None]
-    for r in (ring.pow(x, p**F.deg) - x, ring.pow(x, p**e2) - g_x):
+    for r in (ring.pow(x, F.size) - x, ring.pow(x, p**e2) - g_x):
         found = poly_gcd(prime_field(p), found, r[:, None])
     return F.poly_roots(found[:, 0])
 
@@ -680,7 +656,7 @@ def _orbit_r2_class(v: int, p: int, n_mod_p: int) -> dict:
         rows = rows[~residual(rows).any(axis=1)]
     else:
         rows = F.roots(residual)
-    return read_only(class_survey(F, rows, n_mod_p, (2 * n_mod_p + 1) % p, kind_of))
+    return read_only(class_survey(F, rows, n_mod_p, kind_of))
 
 
 def orbit_check(
@@ -693,6 +669,8 @@ def orbit_check(
     (v, p) needs allow_generic=True and passes the same hypothesis checks
     (v prime dividing the order, p prime and primitive mod v).
     """
+    if n < 2:
+        raise ValueError("orbit_check requires n >= 2")
     params = {"n": n, "v": v}
     if p is None:
         p = ORBIT_INSTANCES.get(v)
@@ -701,7 +679,7 @@ def orbit_check(
     params["p"] = p
     if (v, p) not in ORBIT_INSTANCES.items() and not allow_generic:
         raise ValueError(f"instance (v={v}, p={p}) is experimental; pass allow_generic=True")
-    order = order_r2(n)
+    order = group_order_r2(n)
     if order % v != 0:
         return CriterionOutcome(
             "orbit", Status.NOT_APPLICABLE, reason=f"{v} does not divide the order", params=params

@@ -1,6 +1,6 @@
 """Nonexistence criteria for linear perfect Lee codes of radius 3.
 
-The group order is 1 + 6n^2 + 4n(n-1)(n-2)/3.  Three pieces:
+The group order is |S(n, 3)|, geometry.group_order_r3(n).  Three pieces:
 
 * trivial_solution_gate - the constant projections that satisfy the cubic
   identity whenever v | 2n+1, or when 24n+1 is a square c^2 with 12v
@@ -24,12 +24,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import nt
+from .geometry import group_order_r3
 from .orbitfield import CosineField, budget_skip, class_survey, search_outcome
 from .outcomes import Caps, CriterionOutcome, DEFAULT_CAPS, Status, Tier, read_only
-
-
-def order_r3(n: int) -> int:
-    return 1 + 6 * n * n + 4 * n * (n - 1) * (n - 2) // 3
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +52,7 @@ def trivial_solution_gate(n: int, v: int) -> GateResult:
     affine constant solution works.  Either way no exclusion can come from
     the projection, so the criteria report NotApplicable.
     """
-    if order_r3(n) % v != 0:
+    if group_order_r3(n) % v != 0:
         raise ValueError(f"{v} does not divide the radius-3 order")
     if (2 * n + 1) % v == 0:
         return GateResult("divides_2n_plus_1", {"v": v})
@@ -74,7 +71,7 @@ def square24_check(n: int) -> CriterionOutcome:
     """The v = 7 arithmetic test on 24n+1 for n = 1, 5 (mod 7)."""
     if n < 3:
         raise ValueError("square24_check requires n >= 3")
-    params = {"n": n, "order": order_r3(n)}
+    params = {"n": n, "order": group_order_r3(n)}
     if n % 7 not in (1, 5):
         return CriterionOutcome(
             "square24", Status.NOT_APPLICABLE,
@@ -131,7 +128,7 @@ def _orbit_r3_class(v: int, p: int, n_mod_p: int) -> dict:
         triv_quad[0] = (triv_quad[0] - (six_n - 2)) % p
         return "trivial_factor" if not row.any() or not triv_quad.any() else "other"
 
-    summary = class_survey(F, F.roots(cubic_at_1), n_mod_p, (2 * n_mod_p + 1) % p, kind_of)
+    summary = class_survey(F, F.roots(cubic_at_1), n_mod_p, kind_of)
     nontrivial = [r for r in summary["survivors"] if r["class"] == "other"]
     return read_only({
         **summary,
@@ -144,6 +141,8 @@ def orbit_check_r3(
     n: int, caps: Caps = DEFAULT_CAPS, v: int = 7, p: int = 5, allow_generic: bool = False,
 ) -> CriterionOutcome:
     """Reproduction of the published mod-5 verification for the v = 7 quotient."""
+    if n < 3:
+        raise ValueError("orbit_check_r3 requires n >= 3")
     params = {"n": n, "v": v, "p": p}
     if (v, p) != (7, 5) and not allow_generic:
         raise ValueError(f"instance (v={v}, p={p}) is experimental; pass allow_generic=True")
@@ -151,7 +150,7 @@ def orbit_check_r3(
         raise ValueError("v and p must be prime")
     if v < 7:
         raise ValueError(f"the projected cubic reads classes 1 to 3, so v must be >= 7 (got {v})")
-    order = order_r3(n)
+    order = group_order_r3(n)
     if order % v != 0:
         return CriterionOutcome(
             "orbit_r3", Status.NOT_APPLICABLE, reason=f"{v} does not divide the order",

@@ -13,7 +13,7 @@ import math
 import time
 from typing import Callable
 
-from . import nt, radius2, survey
+from . import geometry, nt, radius2, survey
 from .geometry import enumerate_sphere, sphere_size
 from .groupring import (
     AbelianGroup,
@@ -27,7 +27,7 @@ from .oracle import oracle_verdict
 from .outcomes import Caps, DEFAULT_CAPS, InternalInconsistencyError
 
 
-def _lambda_suite(log: Callable[[str], None]) -> bool:
+def _lambda_suite(log: Callable[[str], None], caps: Caps) -> bool:
     """radius2.lambda_chain, the reduced-basis lambda that lambda_check and
     field_check run, equals the brute-force pair gcd for every prime v < 500
     and prime p < 50 for which 2 and p generate the units mod v."""
@@ -49,7 +49,7 @@ def _lambda_suite(log: Callable[[str], None]) -> bool:
     return True
 
 
-def _inversion_suite(log) -> bool:
+def _inversion_suite(log, caps) -> bool:
     rng = nt.seeded_rng(7, "selftest-inversion")
     for m in (13, 25):
         G = AbelianGroup.cyclic(m)
@@ -70,7 +70,7 @@ def _inversion_suite(log) -> bool:
     return True
 
 
-def _power_map_suite(log) -> bool:
+def _power_map_suite(log, caps) -> bool:
     rng = nt.seeded_rng(11, "selftest-powermap")
     for G in (AbelianGroup.cyclic(13), AbelianGroup.cyclic(25), AbelianGroup.of([5, 5])):
         for t in range(1, G.exponent):
@@ -86,16 +86,18 @@ def _power_map_suite(log) -> bool:
     return True
 
 
-def _sphere_suite(log) -> bool:
+def _sphere_suite(log, caps) -> bool:
+    """Sphere sizes against direct enumeration, and the engine's group
+    orders (geometry.group_order_r2/r3) against the sphere sizes."""
     for n in range(7):
         for r in range(7):
             if len(enumerate_sphere(n, r)) != sphere_size(n, r):
                 log(f"  sphere count mismatch at (n={n}, r={r})")
                 return False
     for n in range(10_001):
-        if sphere_size(n, 2) != 2 * n * n + 2 * n + 1:
-            return False
-        if n >= 1 and sphere_size(n, 3) != 1 + 6 * n * n + 4 * n * (n - 1) * (n - 2) // 3:
+        orders = geometry.group_order_r2(n), geometry.group_order_r3(n)
+        if orders != (sphere_size(n, 2), sphere_size(n, 3)):
+            log(f"  group order mismatch at n={n}")
             return False
     log("  sphere sizes match enumeration (n, r <= 6) and the order polynomials (n <= 10^4)")
     return True
@@ -119,24 +121,22 @@ def _coupling_suite(log, caps: Caps) -> bool:
     return True
 
 
-SUITES = ("lambda", "inversion", "power_map", "sphere", "coupling")
+# every suite is called as suite(log, caps), in this order
+SUITES = {
+    "lambda": _lambda_suite,
+    "inversion": _inversion_suite,
+    "power_map": _power_map_suite,
+    "sphere": _sphere_suite,
+    "coupling": _coupling_suite,
+}
 
 
 def run_selftest(caps: Caps = DEFAULT_CAPS, log: Callable[[str], None] = print) -> bool:
     """Run every property suite; prints one pass/fail line per suite."""
     ok_all = True
-    for name in SUITES:
+    for name, suite in SUITES.items():
         t0 = time.perf_counter()
-        if name == "lambda":
-            ok = _lambda_suite(log)
-        elif name == "inversion":
-            ok = _inversion_suite(log)
-        elif name == "power_map":
-            ok = _power_map_suite(log)
-        elif name == "sphere":
-            ok = _sphere_suite(log)
-        else:
-            ok = _coupling_suite(log, caps)
+        ok = suite(log, caps)
         dt = time.perf_counter() - t0
         log(f"{'PASS' if ok else 'FAIL'} selftest:{name} ({dt:.1f}s)")
         ok_all = ok_all and ok

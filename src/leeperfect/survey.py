@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import nt, radius2, radius3
+from .geometry import group_order_r2, group_order_r3
 from .outcomes import (
     Caps,
     CriterionOutcome,
@@ -39,7 +40,7 @@ VERSION = "0.1.0"
 R2_CRITERIA = ("kim", "small_v", "lambda", "field", "orbit")
 R3_CRITERIA = ("square24", "orbit_r3")
 # the order function and the criteria of each radius; radius r starts at n = r
-_RADII = {2: (radius2.order_r2, R2_CRITERIA), 3: (radius3.order_r3, R3_CRITERIA)}
+_RADII = {2: (group_order_r2, R2_CRITERIA), 3: (group_order_r3, R3_CRITERIA)}
 
 
 @dataclass

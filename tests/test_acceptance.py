@@ -20,7 +20,7 @@ import time
 import pytest
 
 from leeperfect import nt, radius2, radius3, survey
-from leeperfect.geometry import verify_witness
+from leeperfect.geometry import group_order_r2, group_order_r3, verify_witness
 from leeperfect.groupring import build_T, verify_r2_identity, verify_r3_identity
 from leeperfect.oracle import cyclic_witness_equivalent, oracle_verdict
 from leeperfect.outcomes import Caps, Status
@@ -216,7 +216,7 @@ def test_criterion_8_worked_example_14():
 def _first_qualifying_r2(v, p, cls):
     n = 3
     while True:
-        if (2 * n * n + 2 * n + 1) % v == 0 and n % p == cls:
+        if group_order_r2(n) % v == 0 and n % p == cls:
             sq, vk2 = radius2.quadratic_preconditions(n, v)
             if sq is None and not (v == 13 and vk2):
                 return n
@@ -272,7 +272,7 @@ def test_criterion_9_orbit_r3():
     for cls, values in expected.items():
         n = 3
         while True:
-            if n % 7 in (1, 5) and n % 5 == cls and radius3.order_r3(n) % 7 == 0 \
+            if n % 7 in (1, 5) and n % 5 == cls and group_order_r3(n) % 7 == 0 \
                     and radius3.trivial_solution_gate(n, 7).passed:
                 break
             n += 1

@@ -2,20 +2,20 @@ import math
 
 import pytest
 
-from leeperfect import nt
+from leeperfect import geometry, nt, selftest
 from leeperfect.geometry import (
     CodeWitness,
     enumerate_sphere,
     group_order_r2,
     group_order_r3,
     lee_distance,
-    moore_bound_abelian,
     render_tiling,
     sphere_size,
     verify_witness,
 )
 from leeperfect.groupring import AbelianGroup
 from leeperfect.nt import BudgetExceeded
+from leeperfect.outcomes import DEFAULT_CAPS
 
 
 def test_sphere_size_examples():
@@ -30,9 +30,16 @@ def test_group_order_polynomials():
     assert group_order_r2(102) == 21013
     assert group_order_r3(3) == 63
     for n in range(10_001):
-        assert sphere_size(n, 2) == 2 * n * n + 2 * n + 1
-    for n in range(1, 2_001):
-        assert sphere_size(n, 3) == 1 + 6 * n * n + 4 * n * (n - 1) * (n - 2) // 3
+        assert group_order_r2(n) == sphere_size(n, 2)
+    for n in range(2_001):
+        assert group_order_r3(n) == sphere_size(n, 3)
+
+
+@pytest.mark.parametrize("name", ["group_order_r2", "group_order_r3"])
+def test_selftest_sphere_suite_checks_the_engine_orders(monkeypatch, name):
+    real = getattr(geometry, name)
+    monkeypatch.setattr(geometry, name, lambda n: real(n) + 1)
+    assert not selftest._sphere_suite(lambda line: None, DEFAULT_CAPS)
 
 
 def test_enumerate_sphere():
@@ -94,11 +101,11 @@ def test_witness_bridges_to_group_ring_identity():
 
 
 def test_moore_bound():
-    assert moore_bound_abelian(2, 2) == 13
+    # sphere_size(d, k) is also the Moore bound of an abelian Cayley graph of
+    # degree 2d and diameter k, symmetric in d and k
     for d in range(8):
-        assert moore_bound_abelian(d, 1) == 2 * d + 1
         for k in range(8):
-            assert moore_bound_abelian(d, k) == moore_bound_abelian(k, d)
+            assert sphere_size(d, k) == sphere_size(k, d)
 
 
 def test_render_tiling_stable():

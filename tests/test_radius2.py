@@ -11,8 +11,10 @@ from hypothesis.extra.numpy import arrays
 
 from leeperfect import nt, radius2
 from leeperfect.fields import exact_order_element
+from leeperfect.geometry import group_order_r2
 from leeperfect.orbitfield import CosineField
 from leeperfect.outcomes import Caps, DEFAULT_CAPS, Status, Tier
+from theta_reference import theta
 
 
 def test_kim_examples():
@@ -34,7 +36,7 @@ def test_kim_examples():
 
 def test_kim_with_the_callers_factorization_matches_its_own():
     for n in range(2, 301):
-        fac = nt.factorize(radius2.order_r2(n))
+        fac = nt.factorize(group_order_r2(n))
         assert radius2.kim_check(n, DEFAULT_CAPS, fac) == radius2.kim_check(n, DEFAULT_CAPS)
 
 
@@ -148,7 +150,7 @@ def test_selftest_lambda_suite_runs_the_production_lambda(monkeypatch):
 
     real = radius2.lambda_chain
     monkeypatch.setattr(radius2, "lambda_chain", lambda v, p, vfac: real(v, p, vfac)[:-1] + (0,))
-    assert not selftest._lambda_suite(lambda line: None)
+    assert not selftest._lambda_suite(lambda line: None, DEFAULT_CAPS)
 
 
 def test_theta_trivial_values():
@@ -157,10 +159,10 @@ def test_theta_trivial_values():
     ctx = build_field(3, 16)  # ord_17(3) = 16
     one = ctx.one()
     # power-sum mode at x = y = 1 sums v-1 copies of 1
-    assert radius2.theta(one, one, 17, 1, "power_sum") == (17 - 1) % 3
+    assert theta(one, one, 17, 1, "power_sum") == (17 - 1) % 3
     # trace mode sums d traces of 1, each f mod p
     d = 1
-    assert radius2.theta(one, one, 17, d, "trace") == d * 16 % 3
+    assert theta(one, one, 17, d, "trace") == d * 16 % 3
 
 
 @pytest.mark.parametrize("n, v, p, f, N, d, mode", [
@@ -178,7 +180,7 @@ def test_theta_table_matches_scalar_theta(n, v, p, f, N, d, mode):
     residues, in_fp = radius2._theta_tables(ctx, w, N, v, d, mode)
     one = x = ctx.one()
     for k in range(N):  # x = w^k
-        expect = radius2.theta(x, one, v, d, mode)
+        expect = theta(x, one, v, d, mode)
         assert bool(in_fp[k]) == (expect is not None), k
         assert expect is None or int(residues[k]) == expect, k
         x = x * w
@@ -536,7 +538,7 @@ def test_orbit_r2_candidate_sources_agree_on_generic_instances(v, p, roots_cheap
     # and against 3^2 = 9 (scan); the other source must give the same verdicts
     F = CosineField(p, v)
     assert radius2._roots_cheaper(F, _order_of_2(F)) is roots_cheaper
-    dims = [n for n in range(1, 60) if radius2.order_r2(n) % v == 0]
+    dims = [n for n in range(2, 60) if group_order_r2(n) % v == 0]  # orbit_check needs n >= 2
 
     def verdicts():
         outs = [radius2.orbit_check(n, v, p=p, allow_generic=True) for n in dims]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from leeperfect import nt, radius3
+from leeperfect.geometry import group_order_r3
 from leeperfect.groupring import AbelianGroup, all_ones, identity_element, power_map
 from leeperfect.outcomes import Caps, Status, Tier
 
@@ -13,7 +14,7 @@ def test_order_polynomial_and_divisibility_classes():
     # 7 divides the radius-3 order exactly for n = 1, 3, 5 (mod 7), and
     # 7 | 2n+1 exactly for n = 3 (mod 7) - so 1 and 5 are the useful classes
     for n in range(3, 10_000):
-        divisible = radius3.order_r3(n) % 7 == 0
+        divisible = group_order_r3(n) % 7 == 0
         assert divisible == (n % 7 in (1, 3, 5)), n
         assert ((2 * n + 1) % 7 == 0) == (n % 7 == 3), n
 
@@ -85,7 +86,7 @@ def test_orbit_r3_gate_blocks():
 def _first_qualifying(cls5):
     n = 3
     while True:
-        if n % 7 in (1, 5) and n % 5 == cls5 and radius3.order_r3(n) % 7 == 0:
+        if n % 7 in (1, 5) and n % 5 == cls5 and group_order_r3(n) % 7 == 0:
             if radius3.trivial_solution_gate(n, 7).passed:
                 return n
         n += 1
@@ -154,7 +155,7 @@ def test_orbit_r3_class_dict_pinned(n_mod_p):
 
 
 def test_orbit_r3_tests_primality_first():
-    # 9 does not divide order_r3(8) = 833 either, but primality is checked first
+    # 9 does not divide group_order_r3(8) = 833 either, but primality is checked first
     with pytest.raises(ValueError, match="v and p must be prime"):
         radius3.orbit_check_r3(8, v=9, p=5, allow_generic=True)
 

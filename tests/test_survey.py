@@ -11,6 +11,7 @@ import pytest
 
 import leeperfect
 from leeperfect import cli, nt, oracle, radius2, radius3, selftest, survey
+from leeperfect.geometry import group_order_r2
 from leeperfect.outcomes import Caps, InternalInconsistencyError, Status, Tier
 from leeperfect.survey import R2_CRITERIA, Verdict, check, counts, emit, parse_report, scan
 
@@ -227,6 +228,9 @@ _CHECK_4 = ["check", "--r", "2", "--n", "4"]
     pytest.param(_CHECK_4 + ["--out", "{tmp}/absent/x.csv"], id="unwritable_out"),
     pytest.param(["check", "--r", "2", "--n", "1"], id="n_below_range"),
     pytest.param(["scan", "--r", "2", "--from", "10", "--to", "5"], id="empty_range"),
+    # 13 divides the order 13 at n = -3, and 7 the order 7 at n = 1
+    pytest.param(["orbit", "--r", "2", "--n", "-3", "--v", "13"], id="orbit_n_below_range"),
+    pytest.param(["orbit", "--r", "3", "--n", "1", "--v", "7"], id="orbit_r3_n_below_range"),
     pytest.param(["orbit", "--r", "2", "--n", "23", "--v", "19"], id="orbit_no_companion"),
     pytest.param(["orbit", "--r", "3", "--n", "8", "--v", "23"], id="orbit_r3_generic"),
     pytest.param(["orbit", "--r", "3", "--n", "3", "--v", "3", "--p", "2", "--allow-generic"],
@@ -347,7 +351,7 @@ def test_check_factors_the_order_once(monkeypatch):
         calls.clear()
         v = check(n, 2, criteria=["kim", "small_v"])
         assert v.outcomes[0].certificate["evaluated"]  # kim had a divisor to test
-        assert calls.count(radius2.order_r2(n)) == 1
+        assert calls.count(group_order_r2(n)) == 1
 
 
 def test_package_version_is_the_report_version():
