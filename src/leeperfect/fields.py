@@ -150,13 +150,12 @@ class FieldCtx(PolyModRing):
 
     def __init__(self, p: int, modulus: Iterable[int]):
         super().__init__(p, modulus)
-        self.f = self.deg
         if not self._is_irreducible():
             raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
 
     def _is_irreducible(self) -> bool:
         """Rabin: x^(p^f) = x and gcd(x^(p^(f/q)) - x, modulus) = 1, q | f prime."""
-        f, p = self.f, self.p
+        f, p = self.deg, self.p
         if f == 1:
             return True
         x = self.x_vec()
@@ -180,9 +179,9 @@ class FieldCtx(PolyModRing):
 
     def element(self, coeffs) -> "FieldElement":
         arr = tuple(int(c) % self.p for c in coeffs)
-        if len(arr) > self.f:
+        if len(arr) > self.deg:
             raise ValueError("too many coefficients")
-        return FieldElement(self, arr + (0,) * (self.f - len(arr)))
+        return FieldElement(self, arr + (0,) * (self.deg - len(arr)))
 
     def zero(self) -> "FieldElement":
         return self.element(())
@@ -194,13 +193,13 @@ class FieldCtx(PolyModRing):
         return self.element((c,))
 
     def gen(self) -> "FieldElement":
-        return self.element((0, 1)) if self.f > 1 else self.one()
+        return self.element((0, 1)) if self.deg > 1 else self.one()
 
     def random_element(self, rng) -> "FieldElement":
-        return self.element(tuple(rng.randrange(self.p) for _ in range(self.f)))
+        return self.element(tuple(rng.randrange(self.p) for _ in range(self.deg)))
 
     def __repr__(self):
-        return f"FieldCtx(p={self.p}, f={self.f})"
+        return f"FieldCtx(p={self.p}, f={self.deg})"
 
 
 class FieldElement:
@@ -298,7 +297,7 @@ def frobenius(e: FieldElement, k: int) -> FieldElement:
     since z^(p^f) = z in F_{p^f}."""
     if k < 0:
         raise ValueError("negative Frobenius power")
-    return _element(e.owner, e.owner.frob(e.row(), k % e.owner.f))
+    return _element(e.owner, e.owner.frob(e.row(), k % e.owner.deg))
 
 
 def exact_order_element(ctx: FieldCtx, k: int, rng) -> FieldElement:

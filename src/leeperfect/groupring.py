@@ -6,8 +6,9 @@ list of arbitrary-size integer coefficients indexed by a mixed-radix
 encoding of the group, so the convolution product is exact and cache
 friendly at the orders used here (a few hundred at most).
 
-Characters are evaluated exactly inside an auxiliary prime field F_q with
-q = 1 (mod |G|): no complex floating point, no tolerance policy.
+No characters are evaluated here: the orbit searches take the character
+values of T mod p in orbitfield.CosineField, and rebuild its coefficients
+from them with CosineField.coefficients.
 """
 
 from __future__ import annotations
@@ -256,69 +257,3 @@ def _compare(lhs: GroupRingElement, rhs: GroupRingElement) -> IdentityReport:
         if a != b:
             return IdentityReport(False, (lhs.group.unindex(i), a, b))
     return IdentityReport(True)
-
-
-# -- exact characters over an auxiliary prime field -----------------------------
-
-
-@dataclass(frozen=True)
-class CharContext:
-    """Exact character evaluation data for a cyclic group of order w.
-
-    q is a prime with q = 1 (mod w) and zeta has exact order w mod q, so the
-    w characters are chi_j(g) = zeta^(j*g), all arithmetic in F_q.
-    """
-
-    w: int
-    q: int
-    zeta: int
-
-
-def char_context(group: AbelianGroup, seed: int = 0, q_budget: int = 10**6) -> CharContext:
-    """Smallest auxiliary prime q = 1 (mod |G|) (cyclic groups only)."""
-    if len(group.cyclic_orders) > 1:
-        raise ValueError("exact characters are implemented for cyclic groups")
-    w = group.order
-    q = w + 1
-    tries = 0
-    while not nt.is_prime(q):
-        q += w
-        tries += 1
-        if tries > q_budget:
-            raise nt.BudgetExceeded("no auxiliary prime found within budget")
-    rng = nt.seeded_rng(seed, "char-zeta", w, q)
-    wdivs = nt.factorize(w).primes()
-    while True:
-        g = rng.randrange(2, q)
-        z = pow(g, (q - 1) // w, q)
-        if z != 1 and all(pow(z, w // r, q) != 1 for r in wdivs):
-            return CharContext(w, q, z)
-
-
-def char_eval(a: GroupRingElement, character_index: int, ctx: CharContext) -> int:
-    """chi_j(A) = sum of a_g zeta^(j g) in F_q, exact."""
-    if a.group.order != ctx.w:
-        raise ValueError("character context does not match the group")
-    q = ctx.q
-    zj = pow(ctx.zeta, character_index % ctx.w, q)
-    acc = 0
-    cur = 1
-    for g in range(ctx.w):
-        acc = (acc + a.coeffs[g] * cur) % q
-        cur = cur * zj % q
-    return acc
-
-
-def inversion_roundtrip(a: GroupRingElement, ctx: CharContext) -> bool:
-    """Reconstruct every coefficient mod q from all character values."""
-    q = ctx.q
-    w = ctx.w
-    values = [char_eval(a, j, ctx) for j in range(w)]
-    winv = pow(w, -1, q)
-    for h in range(w):
-        acc = 0
-        for j in range(w):
-            acc = (acc + values[j] * pow(ctx.zeta, (-j * h) % w, q)) % q
-        if acc * winv % q != a.coeffs[h] % q:
-            return False
-    return True

@@ -272,17 +272,16 @@ def discrete_log(base: int, target: int, modulus: int, order: int) -> Optional[i
     for j in range(m):
         table.setdefault(cur, j)
         cur = cur * base % modulus
+    # giant steps raise j = i*m + table[cur], and the table keeps the least
+    # baby step of each value, so the first hit is the least exponent
     giant = pow(base, -m, modulus)
     cur = target
-    best = None
     for i in range(m + 1):
         if cur in table:
             j = i * m + table[cur]
-            if j < order and (best is None or j < best):
-                best = j
-                break
+            return j if j < order else None
         cur = cur * giant % modulus
-    return best
+    return None
 
 
 def discrete_log_factored(

@@ -148,6 +148,9 @@ def quadratic_preconditions(n: int, v: int) -> tuple[Optional[int], bool]:
     return square8n1, vk2_hit
 
 
+SMALL_DIVISORS = (5, 13, 17)  # the v of small_v_check, also tallied one by one by survey.counts
+
+
 def small_v_check(n: int) -> CriterionOutcome:
     """Excluded iff 8n+1 is non-square and one of the divisors 5, 13, 17 of
     the order passes its square precondition on 8n-3."""
@@ -162,7 +165,7 @@ def small_v_check(n: int) -> CriterionOutcome:
             reason=f"8n+1 = {8 * n + 1} = {c}^2 is a perfect square", params=params,
             certificate={"sqrt_8n_plus_1": c},
         )
-    divisors = [v for v in (5, 13, 17) if order % v == 0]
+    divisors = [v for v in SMALL_DIVISORS if order % v == 0]
     if not divisors:
         return CriterionOutcome(
             "small_v", Status.NOT_APPLICABLE,
@@ -310,6 +313,8 @@ def lambda_value(n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS) -> LambdaCer
     For prime v, j0 always exists, so the data are defined whether or not 2
     and p generate the units mod v; two_and_p_generate only gates the
     criterion."""
+    if n < 2:
+        raise ValueError("lambda_value requires n >= 2")
     order = group_order_r2(n)
     if order % v != 0 or not nt.is_prime(v):
         raise ValueError(f"{v} is not a prime divisor of the order {order}")
@@ -430,7 +435,7 @@ def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
     Afterwards each (x, y) pair is a single lookup.  Returns
     (residues, in_fp) as N-vectors, in_fp marking the values in F_p.
     """
-    f, p = ctx.f, ctx.p
+    f, p = ctx.deg, ctx.p
     W = np.zeros((N, f), dtype=np.int64)
     W[0, 0] = 1
     if N > 1:

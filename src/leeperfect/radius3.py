@@ -105,6 +105,9 @@ def square24_check(n: int) -> CriterionOutcome:
 # ---------------------------------------------------------------------------
 
 
+ORBIT_INSTANCE = (7, 5)  # (v, p) of the published verification
+
+
 @lru_cache(maxsize=None)
 def _orbit_r3_class(v: int, p: int, n_mod_p: int) -> dict:
     """Class-level search; the projected system depends on n only mod p."""
@@ -138,13 +141,14 @@ def _orbit_r3_class(v: int, p: int, n_mod_p: int) -> dict:
 
 
 def orbit_check_r3(
-    n: int, caps: Caps = DEFAULT_CAPS, v: int = 7, p: int = 5, allow_generic: bool = False,
+    n: int, caps: Caps = DEFAULT_CAPS, v: int = ORBIT_INSTANCE[0], p: int = ORBIT_INSTANCE[1],
+    allow_generic: bool = False,
 ) -> CriterionOutcome:
     """Reproduction of the published mod-5 verification for the v = 7 quotient."""
     if n < 3:
         raise ValueError("orbit_check_r3 requires n >= 3")
     params = {"n": n, "v": v, "p": p}
-    if (v, p) != (7, 5) and not allow_generic:
+    if (v, p) != ORBIT_INSTANCE and not allow_generic:
         raise ValueError(f"instance (v={v}, p={p}) is experimental; pass allow_generic=True")
     if not nt.is_prime(v) or not nt.is_prime(p):
         raise ValueError("v and p must be prime")

@@ -1,8 +1,9 @@
 """Property suites wired behind the `selftest` command.
 
-Each suite re-derives a piece of the engine with an independent method
-(brute-force gcd over exponent pairs, Fourier inversion, direct sphere
-enumeration, exhaustive witness search) and checks agreement.  A failure of
+Each suite checks a piece of the engine against an independent method
+(brute-force gcd over exponent pairs, class values of known elements fed
+to the orbit search's own Fourier inversion, CosineField.coefficients,
+direct sphere enumeration, exhaustive witness search).  A failure of
 the criterion-vs-oracle coupling raises InternalInconsistencyError, which
 the command line maps to its dedicated exit code.
 """
@@ -13,17 +14,11 @@ import math
 import time
 from typing import Callable
 
-from . import geometry, nt, radius2, survey
+from . import geometry, nt, radius2, radius3, survey
 from .geometry import enumerate_sphere, sphere_size
-from .groupring import (
-    AbelianGroup,
-    GroupRingElement,
-    char_context,
-    char_eval,
-    inversion_roundtrip,
-    power_map,
-)
+from .groupring import AbelianGroup, GroupRingElement, power_map
 from .oracle import oracle_verdict
+from .orbitfield import CosineField
 from .outcomes import Caps, DEFAULT_CAPS, InternalInconsistencyError
 
 
@@ -50,23 +45,36 @@ def _lambda_suite(log: Callable[[str], None], caps: Caps) -> bool:
 
 
 def _inversion_suite(log, caps) -> bool:
+    """orbitfield.CosineField.coefficients, the inversion behind every orbit
+    survivor's principal-point value, rebuilds random symmetric elements A of
+    Z[C_v] mod p from their class values chi_j(A) = a_0 + sum_g a_g c_(jg)
+    on the three validated instances; the all-ones element has class
+    values 0 and is rebuilt as all ones."""
     rng = nt.seeded_rng(7, "selftest-inversion")
-    for m in (13, 25):
-        G = AbelianGroup.cyclic(m)
-        ctx = char_context(G)
-        for trial in range(5):
-            a = GroupRingElement(G, [rng.randrange(-9, 10) for _ in range(m)])
-            if not inversion_roundtrip(a, ctx):
-                log(f"  inversion roundtrip failed over C{m}")
+    instances = (*radius2.ORBIT_INSTANCES.items(), radius3.ORBIT_INSTANCE)
+    for v, p in instances:
+        F = CosineField(p, v)
+        half = F.deg
+
+        def class_values(a):
+            # of the symmetric A with a_g = a_(v-g), from a_0..a_half
+            return {
+                j: (F.scalar_vec(a[0])
+                    + sum(a[g] * F.cosines[j * g % v] for g in range(1, half + 1)))[None, :] % p
+                for j in range(1, half + 1)
+            }
+
+        for _ in range(5):
+            a = [rng.randrange(-9, 10) for _ in range(half + 1)]
+            coeffs = a + a[:0:-1]
+            if F.coefficients(class_values(a), sum(coeffs)) != [c % p for c in coeffs]:
+                log(f"  inversion failed at (v={v}, p={p})")
                 return False
-        # all-ones element: principal character |G|, others 0
-        ones = GroupRingElement(G, [1] * m)
-        if char_eval(ones, 0, ctx) != m % ctx.q:
+        values = class_values([1] * (half + 1))
+        if any(x.any() for x in values.values()) or F.coefficients(values, v) != [1] * v:
+            log(f"  all-ones element not inverted to all ones at (v={v}, p={p})")
             return False
-        if any(char_eval(ones, j, ctx) != 0 for j in range(1, m)):
-            log(f"  nonprincipal character of the all-ones element nonzero over C{m}")
-            return False
-    log("  Fourier inversion and all-ones character values agree over C13, C25")
+    log(f"  CosineField.coefficients inverts class values at {', '.join(map(str, instances))}")
     return True
 
 

@@ -200,7 +200,7 @@ def check(
         if "square24" in selected:
             if run("square24", radius3.square24_check, n).excluded and early_exit:
                 return done()
-        if "orbit_r3" in selected and order % 7 == 0:
+        if "orbit_r3" in selected and order % radius3.ORBIT_INSTANCE[0] == 0:
             run("orbit_r3", radius3.orbit_check_r3, n, caps)
 
     return done()
@@ -256,7 +256,7 @@ def counts(
         verdicts = scan(r, r, upto, caps, early_exit=False, criteria=sel)
     total = 0
     per_criterion = {c: 0 for c in sel}
-    per_v = {5: 0, 13: 0, 17: 0}
+    per_v = dict.fromkeys(radius2.SMALL_DIVISORS, 0)
     capped = []
     for v in verdicts:
         fired = set()

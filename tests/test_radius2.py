@@ -91,6 +91,11 @@ def test_lambda_value_needs_a_prime_divisor():
         radius2.lambda_value(3, 25, 3)
     with pytest.raises(ValueError):
         radius2.lambda_value(3, 7, 3)
+    # 13 divides the order 13 at n = -3, and 2 divides 2n
+    with pytest.raises(ValueError, match="n >= 2"):
+        radius2.lambda_check(-3, 13, 2)
+    with pytest.raises(ValueError, match="n >= 2"):
+        radius2.field_check(-3, 13, 2)
 
 
 def test_lambda_formula_matches_bruteforce_sample():
@@ -151,6 +156,19 @@ def test_selftest_lambda_suite_runs_the_production_lambda(monkeypatch):
     real = radius2.lambda_chain
     monkeypatch.setattr(radius2, "lambda_chain", lambda v, p, vfac: real(v, p, vfac)[:-1] + (0,))
     assert not selftest._lambda_suite(lambda line: None, DEFAULT_CAPS)
+
+
+def test_selftest_inversion_suite_checks_the_engine_inversion(monkeypatch):
+    from leeperfect import selftest
+
+    real = CosineField.coefficients
+
+    def shifted(self, values, total):
+        a = real(self, values, total)
+        return a[:-1] + [(a[-1] + 1) % self.p]
+
+    monkeypatch.setattr(CosineField, "coefficients", shifted)
+    assert not selftest._inversion_suite(lambda line: None, DEFAULT_CAPS)
 
 
 def test_theta_trivial_values():

@@ -324,6 +324,12 @@ def test_readme_flag_table_matches_the_parser():
     }
 
 
+def test_readme_names_the_selftest_suites():
+    section = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = section.split("Run `leeperfect selftest`", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\* `([\w-]+)`:", section, re.M) == list(selftest.SUITES)
+
+
 @pytest.mark.parametrize("r, criteria", [
     (2, ["bogus"]), (2, ["kim", "square24"]), (3, ["kim"]), (3, ["orbit"]),
 ])
