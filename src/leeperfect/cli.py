@@ -155,8 +155,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 out = radius2.orbit_check(args.n, args.v, caps, p=args.companion,
                                           allow_generic=args.allow_generic)
             else:
-                out = radius3.orbit_check_r3(args.n, caps, v=args.v,
-                                             p=5 if args.companion is None else args.companion,
+                out = radius3.orbit_check_r3(args.n, caps, v=args.v, p=args.companion,
                                              allow_generic=args.allow_generic)
             print(f"{out.criterion}(n={args.n}, v={args.v}): {out.status.value}"
                   + (f" [{out.tier.value}]" if out.tier else ""))

@@ -1,8 +1,7 @@
 """Arbitrary-precision integer number theory.
 
-Primality, factorization, multiplicative orders, perfect squares, discrete
-logarithms, and the shifted two-coin solvability test used by the projected
-power-sum criterion.  Factorization trial-divides by the primes below 10^4
+Primality, factorization, multiplicative orders, perfect squares and
+discrete logarithms.  Factorization trial-divides by the primes below 10^4
 (sieved once at import), takes a cofactor below 10^8 with no such factor as
 prime, and runs Pollard rho only on what is left.  Everything here is exact;
 the only randomness (Pollard rho, extra Miller-Rabin rounds above the
@@ -17,8 +16,6 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Optional
-
-INFINITY = math.inf
 
 # Witnesses proving primality for every n < 3.317e24 (Sorenson-Webster).
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
@@ -318,29 +315,3 @@ def discrete_log_factored(
         x += m * (diff * pow(m, -1, qe) % qe)
         m *= qe
     return x % order
-
-
-def solvable_shifted(a, b: int, t: int) -> bool:
-    """Does a(x+1) + by = t admit x >= 0, y >= 0?  a may be INFINITY.
-
-    Solvable iff some k = x+1 >= 1 has a*k <= t and b | (t - a*k); the least
-    candidate k is found by one modular inverse, so the test is O(log b).
-    """
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    if t < 0 or a is INFINITY or a == INFINITY:
-        return False
-    a = int(a)
-    if a == 0:
-        return t % b == 0
-    g = math.gcd(a, b)
-    if t % g:
-        return False
-    bb = b // g
-    if bb == 1:
-        k = 1
-    else:
-        k = (t // g) * pow(a // g, -1, bb) % bb
-        if k == 0:
-            k = bb
-    return a * k <= t

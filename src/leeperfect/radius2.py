@@ -3,7 +3,8 @@
 Four families, all deciding properties of the group order 2n^2 + 2n + 1:
 
 * kim_check - the projected power-sum test: for a prime divisor v > 2n+1,
-  existence forces a(x+1) + by = n - l to be solvable for some small l.
+  existence forces a(x+1) + by = n - l to be solvable for some small l;
+  the least solvable l is the minimum of (n - ak) mod b over k = x+1.
 * small_v_check - the small-divisor tests for v in {5, 13, 17} with their
   square preconditions on 8n+1 and 8n-3.
 * lambda_check / field_check - the unit-group invariant lambda attached to a
@@ -41,7 +42,7 @@ from .fields import (
     PolyModRing, _fits_int64, build_field, exact_order_element, frobenius, poly_gcd, prime_field,
 )
 from .geometry import group_order_r2
-from .nt import INFINITY, BudgetExceeded
+from .nt import BudgetExceeded
 from .orbitfield import CosineField, budget_skip, class_survey, search_outcome
 from .outcomes import Caps, CriterionOutcome, DEFAULT_CAPS, Status, Tier, read_only
 
@@ -65,12 +66,24 @@ def _divisor_factorization(d: int, fac: nt.Factorization) -> nt.Factorization:
 # ---------------------------------------------------------------------------
 
 
+def _least_shift(a: Optional[int], b: int, n: int) -> Optional[int]:
+    """The least l >= 0 with a(x+1) + by = n - l solvable in x, y >= 0, or
+    None (a is None: no exponent).  For k = x+1 the solvable shifts are
+    l = n - ak mod b, so l* is the minimum of (n - ak) mod b over
+    1 <= k <= n // a; the residue has period b / gcd(a, b) in k, so k <= b."""
+    if a is None or a > n:
+        return None
+    return min((n - a * k) % b for k in range(1, min(n // a, b) + 1))
+
+
 def kim_check(
     n: int, caps: Caps = DEFAULT_CAPS, fac: Optional[nt.Factorization] = None,
 ) -> CriterionOutcome:
     """Excluded iff some prime v | order, v > 2n+1, makes every shift l
-    in 0..floor(m/4) unsolvable in a(x+1) + by = n - l.  `fac` is the
-    order's factorization when the caller already has it."""
+    in 0..floor(m/4) unsolvable in a(x+1) + by = n - l, that is the least
+    solvable shift l* = min over k of (n - ak) mod b (_least_shift) is
+    absent or exceeds floor(m/4).  `fac` is the order's factorization when
+    the caller already has it."""
     if n < 2:
         raise ValueError("kim_check requires n >= 2")
     order = group_order_r2(n)
@@ -89,24 +102,15 @@ def kim_check(
         except BudgetExceeded as e:
             return CriterionOutcome("kim", Status.SKIPPED, reason=str(e), params={"n": n, "v": v})
         b = nt.mult_order(4, v, vfac)
-        target = (-(4 * n + 2)) % v
-        a: float | int
-        if pow(target, b, v) != 1:
-            a = INFINITY  # target outside <4>: no exponent exists
-        else:
-            bfac = _divisor_factorization(b, vfac)
-            j = nt.discrete_log_factored(4, target, v, bfac)
-            assert j is not None
-            a = b if j == 0 else j
+        # None when -(4n+2) lies outside <4>: no exponent exists
+        j = nt.discrete_log_factored(4, -(4 * n + 2), v, _divisor_factorization(b, vfac))
+        a = None if j is None else (b if j == 0 else j)
         m = order // v
-        solvable_l = None
-        for l in range(m // 4 + 1):
-            if nt.solvable_shifted(a, b, n - l):
-                solvable_l = l
-                break
+        l_star = _least_shift(a, b, n)
+        solvable_l = l_star if l_star is not None and l_star <= m // 4 else None
         entry = {
             "v": v,
-            "a": "infinity" if a is INFINITY else a,
+            "a": "infinity" if a is None else a,
             "b": b,
             "m": m,
             "l_range": m // 4 + 1,
@@ -318,8 +322,8 @@ def lambda_value(n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS) -> LambdaCer
     order = group_order_r2(n)
     if order % v != 0 or not nt.is_prime(v):
         raise ValueError(f"{v} is not a prime divisor of the order {order}")
-    if (2 * n) % p != 0:
-        raise ValueError(f"{p} does not divide 2n")
+    if not nt.is_prime(p) or (2 * n) % p != 0:
+        raise ValueError(f"{p} is not a prime divisor of 2n = {2 * n}")
     vfac = nt.factorize(v - 1, budget=caps.factor_budget, seed=caps.seed)
     m = order // v
     m1 = m % p

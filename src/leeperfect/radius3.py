@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from . import nt
 from .geometry import group_order_r3
@@ -141,12 +142,15 @@ def _orbit_r3_class(v: int, p: int, n_mod_p: int) -> dict:
 
 
 def orbit_check_r3(
-    n: int, caps: Caps = DEFAULT_CAPS, v: int = ORBIT_INSTANCE[0], p: int = ORBIT_INSTANCE[1],
+    n: int, caps: Caps = DEFAULT_CAPS, v: int = ORBIT_INSTANCE[0], p: Optional[int] = None,
     allow_generic: bool = False,
 ) -> CriterionOutcome:
-    """Reproduction of the published mod-5 verification for the v = 7 quotient."""
+    """Reproduction of the published mod-5 verification for the v = 7
+    quotient; p defaults to the published companion ORBIT_INSTANCE[1]."""
     if n < 3:
         raise ValueError("orbit_check_r3 requires n >= 3")
+    if p is None:
+        p = ORBIT_INSTANCE[1]
     params = {"n": n, "v": v, "p": p}
     if (v, p) != ORBIT_INSTANCE and not allow_generic:
         raise ValueError(f"instance (v={v}, p={p}) is experimental; pass allow_generic=True")

@@ -205,34 +205,6 @@ def test_discrete_log_exhaustive_small_moduli():
                 assert nt.discrete_log(base, target, m, order) == powers.get(target)
 
 
-def test_solvable_shifted_examples():
-    assert nt.solvable_shifted(3, 10, 4) is False  # the n=4, v=41 exclusion shift
-    assert nt.solvable_shifted(2, 6, 2) is True  # x = y = 0
-    assert nt.solvable_shifted(nt.INFINITY, 5, 100) is False
-    assert nt.solvable_shifted(5, 3, -1) is False
-
-
-def test_solvable_shifted_against_double_loop():
-    def brute(a, b, t):
-        if t < 0:
-            return False
-        for x in range(t // a + 1):
-            if (t - a * (x + 1)) >= 0 and (t - a * (x + 1)) % b == 0:
-                return True
-        return False
-
-    for a in range(1, 26):
-        for b in range(1, 26):
-            for t in range(0, 120):
-                assert nt.solvable_shifted(a, b, t) == brute(a, b, t), (a, b, t)
-    rng = nt.seeded_rng(3, "test-solvable")
-    for _ in range(2000):
-        a = rng.randrange(1, 201)
-        b = rng.randrange(1, 201)
-        t = rng.randrange(0, 201)
-        assert nt.solvable_shifted(a, b, t) == brute(a, b, t), (a, b, t)
-
-
 def test_seeded_rng_stable():
     assert nt.seeded_rng(1, "x").random() == nt.seeded_rng(1, "x").random()
     assert nt.seeded_rng(1, "x").random() != nt.seeded_rng(2, "x").random()

@@ -40,6 +40,42 @@ def test_kim_with_the_callers_factorization_matches_its_own():
         assert radius2.kim_check(n, DEFAULT_CAPS, fac) == radius2.kim_check(n, DEFAULT_CAPS)
 
 
+def _two_coin_solvable(a, b, t):
+    """Reference for radius2._least_shift: does a(x+1) + by = t admit
+    x, y >= 0?  A double loop; a None means no exponent exists."""
+    if a is None or t < 0:
+        return False
+    return any((t - a * (x + 1)) % b == 0 for x in range(t // a))
+
+
+@given(a=st.none() | st.integers(1, 60), b=st.integers(1, 60), n=st.integers(0, 300),
+       L=st.integers(0, 400))
+@example(a=3, b=10, n=4, L=0)  # the n = 4, v = 41 firing shift: no l <= 0 works
+@example(a=2, b=6, n=2, L=0)  # x = y = 0 solves the unshifted equation
+@example(a=None, b=5, n=100, L=100)
+@example(a=7, b=9, n=6, L=10)  # a > n
+@example(a=4, b=1, n=9, L=0)
+@example(a=1, b=3, n=0, L=5)
+@example(a=2, b=6, n=50, L=40)  # L >= b
+@settings(max_examples=300, deadline=None)
+def test_least_shift_is_the_first_solvable_shift(a, b, n, L):
+    first = next((l for l in range(n + 1) if _two_coin_solvable(a, b, n - l)), None)
+    l_star = radius2._least_shift(a, b, n)
+    assert l_star == first
+    # kim's cut at l_range = L + 1, against the loop over the shifts
+    loop = next((l for l in range(L + 1) if _two_coin_solvable(a, b, n - l)), None)
+    assert loop == (l_star if l_star is not None and l_star <= L else None)
+
+
+def test_kim_certificates_pinned():
+    # sha256 of [status, reason, certificate] for n = 2..3000, as the loop
+    # over the shifts l = 0..m // 4 computed them
+    outs = [radius2.kim_check(n) for n in range(2, 3001)]
+    rows = [[o.status.value, o.reason, o.certificate] for o in outs]
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == (
+        "29f6f75ea9f9b0e8cdb1e12c8b52142bf4c57447b1c5dca77639bfbe3aa2d1a6")
+
+
 def test_kim_not_applicable():
     # order 841 = 29^2 has no prime divisor above 2n+1 = 41
     out = radius2.kim_check(20)
@@ -96,6 +132,12 @@ def test_lambda_value_needs_a_prime_divisor():
         radius2.lambda_check(-3, 13, 2)
     with pytest.raises(ValueError, match="n >= 2"):
         radius2.field_check(-3, 13, 2)
+    # 17 divides the order 85 at n = 6; 6 and 12 divide 2n = 12 but are not
+    # prime (lambda would come out as 1, a false exclusion), and 1 is no prime
+    for p in (1, 6, 12):
+        for fn in (radius2.lambda_value, radius2.lambda_check, radius2.field_check):
+            with pytest.raises(ValueError, match=f"^{p} is not a prime divisor of 2n = 12"):
+                fn(6, 17, p)
 
 
 def test_lambda_formula_matches_bruteforce_sample():

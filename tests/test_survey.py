@@ -304,6 +304,22 @@ def test_undeclared_flags_are_refused_before_any_work(monkeypatch, capsys, comma
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+def test_cli_orbit_r3_companion_defaults_to_the_instance(monkeypatch, capsys):
+    # without --p the radius-3 search runs on radius3.ORBIT_INSTANCE's prime,
+    # not on a copy of it in the CLI
+    searched = []
+
+    def fake_class(v, p, n_mod_p):
+        searched.append((v, p, n_mod_p))
+        return {"survivor_count": 0, "unexplained": [], "survivors": []}
+
+    monkeypatch.setattr(radius3, "ORBIT_INSTANCE", (7, 3))
+    monkeypatch.setattr(radius3, "_orbit_r3_class", fake_class)
+    assert cli.main(["orbit", "--r", "3", "--n", "8", "--v", "7"]) == cli.EXIT_OK
+    assert searched == [(7, 3, 8 % 3)]
+    assert "orbit_r3(n=8, v=7): excluded" in capsys.readouterr().out
+
+
 def _readme_command_line_section() -> str:
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
