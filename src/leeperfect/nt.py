@@ -1,12 +1,16 @@
 """Arbitrary-precision integer number theory.
 
-Primality, factorization, multiplicative orders, perfect squares and
-discrete logarithms.  Factorization trial-divides by the primes below 10^4
-(sieved once at import), takes a cofactor below 10^8 with no such factor as
-prime, and runs Pollard rho only on what is left.  Everything here is exact;
-the only randomness (Pollard rho, extra Miller-Rabin rounds above the
-deterministic range) is drawn from generators seeded deterministically per
-call site, so runs are reproducible bit for bit.
+Primality, factorization, multiplicative orders, square roots mod a prime,
+perfect squares and discrete logarithms.  Factorization trial-divides by the
+primes below 10^4 (sieved once at import) and hands the cofactor to
+complete_factorization, the one tail of every factorization: a cofactor
+below 10^8 is prime, and only a larger one runs Miller-Rabin and Pollard
+rho.  geometry.factor_orders finds the small primes of the tiling orders by
+a sieve over square roots mod q (sqrt_mod) instead of trial division, and
+ends in the same tail.  Everything here is exact; the only randomness
+(Pollard rho, extra Miller-Rabin rounds above the deterministic range) is
+drawn from generators seeded deterministically per call site, so runs are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ def _primes_below(bound: int) -> tuple[int, ...]:
     return tuple(p for p in range(bound) if sieve[p])
 
 
-_TRIAL_PRIMES = _primes_below(_TRIAL_DIVISION_BOUND)
+TRIAL_PRIMES = _primes_below(_TRIAL_DIVISION_BOUND)
 
 
 class BudgetExceeded(Exception):
@@ -158,23 +162,36 @@ def _pollard_brent(n: int, rng: random.Random, budget: list[int]) -> int:
 def factorize(n: int, budget: Optional[int] = None, seed: int = 0) -> Factorization:
     """Complete factorization; raises BudgetExceeded rather than guessing.
 
-    Trial division by the primes below 10^4.  A cofactor below 10^8 that
-    is left over has no prime factor below 10^4, so it is prime (the least
-    composite without one is 10007^2).  A larger cofactor goes to Pollard-
-    Brent rho with seeded restarts; its rng is built only then.  The budget
-    counts rho iterations across the whole call.
+    Trial division by the primes below 10^4, then complete_factorization
+    of the cofactor.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     factors: dict[int, int] = {}
-    deterministic = True
     m = n
-    for p in _TRIAL_PRIMES:
+    for p in TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
+    return complete_factorization(n, factors, m, budget, seed)
+
+
+def complete_factorization(
+    n: int, small: dict[int, int], m: int, budget: Optional[int] = None, seed: int = 0,
+) -> Factorization:
+    """The factorization of n = m * prod(p^e for p, e in small), where small
+    holds primes below 10^4 and m is 1, a prime, or free of primes below 10^4.
+
+    A cofactor m below 10^8 is 1 or prime (the least composite without a
+    factor below 10^4 is 10007^2).  A larger one goes to Miller-Rabin, the
+    perfect-power check and Pollard-Brent rho with seeded restarts, tagged
+    with n; the rho rng is built only then.  The budget counts rho
+    iterations across the call.
+    """
+    factors = dict(small)
+    deterministic = True
     if m < _TRIAL_DIVISION_BOUND * _TRIAL_DIVISION_BOUND:
         if m > 1:
             factors[m] = 1
@@ -203,6 +220,30 @@ def factorize(n: int, budget: Optional[int] = None, seed: int = 0) -> Factorizat
             d = _pollard_brent(m, rng, budget_box)
             stack.extend([d, m // d])
     return Factorization(n, tuple(sorted(factors.items())), deterministic)
+
+
+def sqrt_mod(a: int, q: int) -> Optional[int]:
+    """A square root of a modulo the odd prime q (Tonelli-Shanks), or None
+    when a is not a square mod q."""
+    a %= q
+    if a == 0:
+        return 0
+    if pow(a, (q - 1) // 2, q) != 1:
+        return None
+    s, d = 0, q - 1
+    while d % 2 == 0:
+        s, d = s + 1, d // 2
+    z = 2
+    while pow(z, (q - 1) // 2, q) == 1:
+        z += 1
+    c, t, root = pow(z, d, q), pow(a, d, q), pow(a, (d + 1) // 2, q)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % q
+        b = pow(c, 1 << (s - i - 1), q)
+        s, c, t, root = i, b * b % q, t * b * b % q, root * b % q
+    return root
 
 
 def _iroot(n: int, k: int) -> int:

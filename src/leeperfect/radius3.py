@@ -142,13 +142,16 @@ def _orbit_r3_class(v: int, p: int, n_mod_p: int) -> dict:
 
 
 def orbit_check_r3(
-    n: int, caps: Caps = DEFAULT_CAPS, v: int = ORBIT_INSTANCE[0], p: Optional[int] = None,
+    n: int, caps: Caps = DEFAULT_CAPS, v: Optional[int] = None, p: Optional[int] = None,
     allow_generic: bool = False,
 ) -> CriterionOutcome:
     """Reproduction of the published mod-5 verification for the v = 7
-    quotient; p defaults to the published companion ORBIT_INSTANCE[1]."""
+    quotient; v and p default to the published instance ORBIT_INSTANCE,
+    read at call time."""
     if n < 3:
         raise ValueError("orbit_check_r3 requires n >= 3")
+    if v is None:
+        v = ORBIT_INSTANCE[0]
     if p is None:
         p = ORBIT_INSTANCE[1]
     params = {"n": n, "v": v, "p": p}

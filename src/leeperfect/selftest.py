@@ -3,7 +3,8 @@
 Each suite checks a piece of the engine against an independent method
 (brute-force gcd over exponent pairs, class values of known elements fed
 to the orbit search's own Fourier inversion, CosineField.coefficients,
-direct sphere enumeration, exhaustive witness search).  A failure of
+direct sphere enumeration, trial division against the order sieve,
+exhaustive witness search).  A failure of
 the criterion-vs-oracle coupling raises InternalInconsistencyError, which
 the command line maps to its dedicated exit code.
 """
@@ -111,6 +112,19 @@ def _sphere_suite(log, caps) -> bool:
     return True
 
 
+def _factor_suite(log, caps) -> bool:
+    """geometry.factor_orders, the root sieve scan and check factor the
+    orders with, equals nt.factorize of each order, trial division and all."""
+    for r, order in ((2, geometry.group_order_r2), (3, geometry.group_order_r3)):
+        for lo, hi in ((2, 2000), (90_000, 90_200)):
+            for n, fac in zip(range(lo, hi + 1), geometry.factor_orders(r, lo, hi)):
+                if fac != nt.factorize(order(n)):
+                    log(f"  factor_orders differs from factorize at (n={n}, r={r})")
+                    return False
+    log("  factor_orders equals factorize on 2..2000 and 90000..90200 at radii 2 and 3")
+    return True
+
+
 def _coupling_suite(log, caps: Caps) -> bool:
     """Known-witness dimensions must never be excluded by any criterion."""
     for n, r in ((1, 2), (2, 2), (2, 3)):
@@ -135,6 +149,7 @@ SUITES = {
     "inversion": _inversion_suite,
     "power_map": _power_map_suite,
     "sphere": _sphere_suite,
+    "factor": _factor_suite,
     "coupling": _coupling_suite,
 }
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import nt, radius2, radius3
-from .geometry import group_order_r2, group_order_r3
+from .geometry import factor_orders, group_order_r2, group_order_r3
 from .outcomes import (
     Caps,
     CriterionOutcome,
@@ -135,6 +135,7 @@ def _selected_criteria(r: int, criteria: Optional[Iterable[str]]) -> tuple[str, 
 def check(
     n: int, r: int, caps: Caps = DEFAULT_CAPS, early_exit: bool = False,
     criteria: Optional[Iterable[str]] = None,
+    *, _factored: nt.Factorization | nt.BudgetExceeded | None = None,
 ) -> Verdict:
     """Run the criterion chain for one dimension.
 
@@ -142,7 +143,9 @@ def check(
     instances for v in {13, 17}.  Radius 3: square24 then the v=7 orbit.  With
     early_exit the chain stops after the first exclusion (scans default to
     that; single checks keep the full audit trail).  A criteria subset
-    restricts which checks run at all (count tables use this).
+    restricts which checks run at all (count tables use this).  The order is
+    factored by factor_orders(r, n, n); scan passes in `_factored`, the
+    entry for n of its own factor_orders call over the range.
     """
     selected = set(_selected_criteria(r, criteria))
     if n < r:
@@ -150,12 +153,13 @@ def check(
     order = _RADII[r][0](n)
     outcomes: list[CriterionOutcome] = []
     timing: dict[str, float] = {}
-    try:
-        fac = nt.factorize(order, budget=caps.factor_budget, seed=caps.seed)
-        fac_dict = fac.as_dict()
-    except nt.BudgetExceeded as e:
-        out = CriterionOutcome("factorization", Status.SKIPPED, reason=str(e))
+    fac = _factored
+    if fac is None:
+        fac = factor_orders(r, n, n, caps.factor_budget, caps.seed)[0]
+    if isinstance(fac, nt.BudgetExceeded):
+        out = CriterionOutcome("factorization", Status.SKIPPED, reason=str(fac))
         return _aggregate(n, r, order, {}, [out], timing)
+    fac_dict = fac.as_dict()
 
     def run(name, fn, *args):
         t0 = time.perf_counter()
@@ -207,20 +211,22 @@ def check(
 
 
 def _scan_one(args) -> Verdict:
-    n, r, caps, early_exit, criteria = args
-    return check(n, r, caps, early_exit, criteria)
+    n, r, caps, early_exit, criteria, fac = args
+    return check(n, r, caps, early_exit, criteria, _factored=fac)
 
 
 def scan(
     r: int, frm: int, to: int, caps: Caps = DEFAULT_CAPS, early_exit: bool = True,
     criteria: Optional[Iterable[str]] = None,
 ) -> list[Verdict]:
-    """Verdicts for frm <= n <= to, ordered by n regardless of scheduling."""
+    """Verdicts for frm <= n <= to, ordered by n regardless of scheduling.
+    The orders of the whole range are factored by one factor_orders call."""
     if frm > to:
         raise ValueError("empty range")
     lo = max(frm, r)
     sel = _selected_criteria(r, criteria)
-    jobs = [(n, r, caps, early_exit, sel) for n in range(lo, to + 1)]
+    facs = factor_orders(r, lo, to, caps.factor_budget, caps.seed)
+    jobs = [(n, r, caps, early_exit, sel, fac) for n, fac in zip(range(lo, to + 1), facs)]
     if caps.thread_count > 1:
         with ProcessPoolExecutor(max_workers=caps.thread_count) as pool:
             return list(pool.map(_scan_one, jobs, chunksize=16))

@@ -148,6 +148,17 @@ def test_factorize_builds_the_rho_rng_only_for_rho(monkeypatch):
     assert calls == [(0, "pollard", 10_007 * 10_009)]
 
 
+def test_sqrt_mod_against_the_squares():
+    for q in nt.TRIAL_PRIMES[1:200] + (9973,):
+        squares = {x * x % q for x in range(q)}
+        for a in range(-6, q):
+            s = nt.sqrt_mod(a, q)
+            if a % q in squares:
+                assert s is not None and 0 <= s < q and s * s % q == a % q, (a, q)
+            else:
+                assert s is None, (a, q)
+
+
 def test_factor_budget_exceeded():
     with pytest.raises(nt.BudgetExceeded):
         nt.factorize(1_000_003 * 1_000_033 * 1_000_037 * 1_000_039, budget=1)

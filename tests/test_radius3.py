@@ -125,6 +125,17 @@ def test_orbit_r3_generic_gated():
         radius3.orbit_check_r3(8, v=23, p=5)
 
 
+def test_orbit_r3_instance_is_read_at_call_time(monkeypatch):
+    # both defaults follow radius3.ORBIT_INSTANCE; v = 11 divides the order
+    # only through 2n + 1, so n = 5 stops at the gate and n = 8 earlier
+    monkeypatch.setattr(radius3, "ORBIT_INSTANCE", (11, 3))
+    out = radius3.orbit_check_r3(5)
+    assert out.status is Status.NOT_APPLICABLE and out.params == {"n": 5, "v": 11, "p": 3}
+    assert out.reason == "trivial constant solution exists (divides_2n_plus_1)"
+    out = radius3.orbit_check_r3(8)
+    assert out.status is Status.NOT_APPLICABLE and out.reason == "11 does not divide the order"
+
+
 def test_orbit_r3_certificate_cannot_change_the_cached_class():
     n = _first_qualifying(1)
     first = radius3.orbit_check_r3(n)

@@ -11,7 +11,7 @@ import pytest
 
 import leeperfect
 from leeperfect import cli, nt, oracle, radius2, radius3, selftest, survey
-from leeperfect.geometry import group_order_r2
+from leeperfect.geometry import group_order_r2, group_order_r3
 from leeperfect.outcomes import Caps, InternalInconsistencyError, Status, Tier
 from leeperfect.survey import R2_CRITERIA, Verdict, check, counts, emit, parse_report, scan
 
@@ -74,10 +74,27 @@ def test_radius_and_least_dimension_are_checked(call, message):
 
 
 def test_scan_worker_pool_matches_serial():
+    # the workers get their factorizations from scan's factor_orders call
     caps = dataclasses.replace(Caps(), thread_count=2)
-    parallel = scan(2, 3, 12, caps, early_exit=False)
-    serial = scan(2, 3, 12, Caps(), early_exit=False)
-    assert parallel == serial
+    for r, to in ((2, 12), (3, 40)):
+        parallel = scan(r, 3, to, caps, early_exit=False)
+        serial = scan(r, 3, to, Caps(), early_exit=False)
+        assert parallel == serial
+        assert [v.factorization for v in serial] == [
+            check(v.n, r, early_exit=False).factorization for v in serial]
+
+
+def test_radius3_small_factor_budget_factors_the_pieces():
+    # the order of n = 5045 is 3^2 * 7 * 10091 * 269387: its cofactor
+    # 10091 * 269387 needs rho, which factor_budget = 1 cuts off.  Its pieces
+    # 2n + 1 = 10091 and 2n^2 + 2n + 3 are below 10^8 and need none, so the
+    # verdict is the default one (square24 excludes), not a factorization skip
+    n, caps = 5045, dataclasses.replace(Caps(), factor_budget=1)
+    with pytest.raises(nt.BudgetExceeded):
+        nt.factorize(group_order_r3(n), budget=1)
+    v = check(n, 3, caps)
+    assert v == check(n, 3) and v.excluded_by == "square24"
+    assert v.factorization == {3: 2, 7: 1, 10091: 1, 269387: 1}
 
 
 def test_counts_monotone_in_criteria():
@@ -354,6 +371,7 @@ def test_unknown_or_wrong_radius_criteria_are_refused(monkeypatch, r, criteria):
         raise AssertionError("work started before the criteria were checked")
 
     monkeypatch.setattr(nt, "factorize", no_work)
+    monkeypatch.setattr(survey, "factor_orders", no_work)
     with pytest.raises(ValueError, match="criterion"):
         check(10, r, criteria=criteria)
     with pytest.raises(ValueError, match="criterion"):
@@ -361,19 +379,28 @@ def test_unknown_or_wrong_radius_criteria_are_refused(monkeypatch, r, criteria):
 
 
 def test_check_factors_the_order_once(monkeypatch):
-    calls = []
-    real = nt.factorize
+    # one factor_orders call over n..n; kim reuses its factorization and
+    # nt.factorize never sees the order
+    calls, factorized = [], []
+    real_orders, real_factorize = survey.factor_orders, nt.factorize
 
-    def counted(m, *args, **kwargs):
-        calls.append(m)
-        return real(m, *args, **kwargs)
+    def counted_orders(*args):
+        calls.append(args[:3])
+        return real_orders(*args)
 
-    monkeypatch.setattr(nt, "factorize", counted)
+    def counted_factorize(m, *args, **kwargs):
+        factorized.append(m)
+        return real_factorize(m, *args, **kwargs)
+
+    monkeypatch.setattr(survey, "factor_orders", counted_orders)
+    monkeypatch.setattr(nt, "factorize", counted_factorize)
     for n in (4, 57, 100, 2024):
         calls.clear()
+        factorized.clear()
         v = check(n, 2, criteria=["kim", "small_v"])
         assert v.outcomes[0].certificate["evaluated"]  # kim had a divisor to test
-        assert calls.count(group_order_r2(n)) == 1
+        assert calls == [(2, n, n)]
+        assert group_order_r2(n) not in factorized
 
 
 def test_package_version_is_the_report_version():
