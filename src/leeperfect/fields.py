@@ -23,7 +23,6 @@ import numpy as np
 from . import nt
 from .nt import BudgetExceeded, seeded_rng
 
-DEFAULT_MAX_DEGREE = 80
 _INT64_MAX = 2**63 - 1
 
 
@@ -269,14 +268,13 @@ def _element(ctx: FieldCtx, row: np.ndarray) -> FieldElement:
     return FieldElement(ctx, tuple(row.tolist()))
 
 
-def build_field(p: int, f: int, seed: int = 0, max_degree: int = DEFAULT_MAX_DEGREE) -> FieldCtx:
-    """Seeded search for an irreducible degree-f modulus; same seed, same field."""
+def build_field(p: int, f: int, seed: int = 0) -> FieldCtx:
+    """Seeded search for an irreducible degree-f modulus; same seed, same field.
+    The degree cap is the caller's (field_check reads Caps.max_field_degree)."""
     if not nt.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if f < 1:
         raise ValueError("degree must be >= 1")
-    if f > max_degree:
-        raise BudgetExceeded(f"extension degree {f} exceeds the cap {max_degree}")
     if not _fits_int64(p, f):
         raise BudgetExceeded(f"p = {p} at degree {f} overflows the int64 kernel")
     if f == 1:

@@ -23,17 +23,6 @@ class Tier(enum.Enum):
     CITED = "cited"
 
 
-_TIER_RANK = {Tier.UNCONDITIONAL: 2, Tier.CITED: 1}
-
-
-def stronger_tier(a: Optional[Tier], b: Optional[Tier]) -> Optional[Tier]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if _TIER_RANK[a] >= _TIER_RANK[b] else b
-
-
 @dataclass
 class CriterionOutcome:
     """One criterion's verdict for one dimension, with its evidence."""

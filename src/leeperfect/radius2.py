@@ -230,15 +230,6 @@ class LambdaCertificate:
         return out
 
 
-def _generates_full_unit_group(gens: list[int], v: int, vfac: nt.Factorization) -> bool:
-    """<gens> = (Z/v)* for prime v, via the maximal-subgroup test."""
-    phi = v - 1
-    for q, _ in vfac.factors:
-        if all(pow(g, phi // q, v) == 1 for g in gens):
-            return False
-    return True
-
-
 def _gauss_reduce(u: tuple[int, int], w: tuple[int, int]):
     """Lagrange-Gauss reduction of the basis (u, w) of a rank-2 lattice, with
     exact integer rounding; returns (u, w) with |u| <= |w| and |<u, w>| at
@@ -339,7 +330,8 @@ def lambda_value(n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS) -> LambdaCer
         "coefficient_bound_m1": 2 * n + 1 < m1 * v,
         "coefficient_bound_m2": 2 * n + 1 < m2 * v,
         "coefficient_bound_m2_sharp": 2 * n + 1 < (v - 1) * m2 + rho,
-        "two_and_p_generate": _generates_full_unit_group([2 % v, p % v], v, vfac),
+        # (Z/v)* is cyclic, so <2, p> has order lcm(h2, hp)
+        "two_and_p_generate": math.lcm(h2, hp) == v - 1,
     }
     return LambdaCertificate(
         n=n, v=v, p=p, m=m, m1=m1, m2=m2, h2=h2, hp=hp, f=f, l=l, d=d,
@@ -399,8 +391,8 @@ def lambda_check(n: int, v: int, p: int, caps: Caps = DEFAULT_CAPS) -> Criterion
 
 
 @lru_cache(maxsize=16)
-def _field_ctx(p: int, f: int, seed: int, max_degree: int):
-    return build_field(p, f, seed=seed, max_degree=max_degree)
+def _field_ctx(p: int, f: int, seed: int):
+    return build_field(p, f, seed=seed)
 
 
 def _orbit_sum(T: np.ndarray, L: int, p: int) -> np.ndarray:
@@ -557,7 +549,7 @@ def field_check(
                    f"{caps.search_node_budget}",
             params={**params, "f": f},
         )
-    ctx = _field_ctx(p, f, caps.seed, caps.max_field_degree)
+    ctx = _field_ctx(p, f, caps.seed)
     w = exact_order_element(ctx, N, nt.seeded_rng(caps.seed, "unity-gen", p, f, N))
     # the lambda-th roots lie in the subfield fixed by Frobenius^l
     x_gen = w ** (N // lam)

@@ -16,9 +16,8 @@ import csv
 import io
 import json
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -31,7 +30,6 @@ from .outcomes import (
     InternalInconsistencyError,
     Status,
     Tier,
-    stronger_tier,
 )
 from .reference import ATTRIBUTION, EXTERNAL_REGISTRY
 
@@ -56,8 +54,6 @@ class Verdict:
     tier: Optional[Tier] = None
     excluded_by: Optional[str] = None
     citation: Optional[str] = None
-    # wall-clock diagnostics stay out of equality so parse(emit(V)) == V
-    timing: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def excluded(self) -> bool:
@@ -69,8 +65,8 @@ class Verdict:
     def skips(self) -> list[str]:
         return [o.criterion for o in self.outcomes if o.status is Status.SKIPPED]
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        d = {
+    def to_json(self) -> dict:
+        return {
             "n": self.n,
             "r": self.r,
             "order": self.order,
@@ -81,9 +77,6 @@ class Verdict:
             "excluded_by": self.excluded_by,
             "citation": self.citation,
         }
-        if include_timing:
-            d["timing"] = self.timing
-        return d
 
     @staticmethod
     def from_json(d: dict) -> "Verdict":
@@ -97,25 +90,18 @@ class Verdict:
             tier=Tier(d["tier"]) if d.get("tier") else None,
             excluded_by=d.get("excluded_by"),
             citation=d.get("citation"),
-            timing=d.get("timing", {}),
         )
 
 
 def _aggregate(n: int, r: int, order: int, fac: dict[int, int],
-               outcomes: list[CriterionOutcome], timing: dict[str, float]) -> Verdict:
-    tier = None
-    for o in outcomes:
-        if o.excluded:
-            tier = stronger_tier(tier, o.tier)
-    by = None
-    if tier is not None:
-        # first outcome achieving the strongest available tier
-        for o in outcomes:
-            if o.excluded and o.tier is tier:
-                by = o.criterion
-                break
-    overall = "excluded" if tier is not None else "open"
-    return Verdict(n, r, order, fac, outcomes, overall, tier, by, None, timing)
+               outcomes: list[CriterionOutcome]) -> Verdict:
+    """The first exclusion of the strongest tier decides: the first
+    unconditional one, else the first cited one; none leaves n open."""
+    by = min((o for o in outcomes if o.excluded), key=lambda o: o.tier is not Tier.UNCONDITIONAL,
+             default=None)
+    if by is None:
+        return Verdict(n, r, order, fac, outcomes, "open")
+    return Verdict(n, r, order, fac, outcomes, "excluded", by.tier, by.criterion)
 
 
 def _selected_criteria(r: int, criteria: Optional[Iterable[str]]) -> tuple[str, ...]:
@@ -132,6 +118,10 @@ def _selected_criteria(r: int, criteria: Optional[Iterable[str]]) -> tuple[str, 
     return sel
 
 
+class _EarlyExit(Exception):
+    """check's run() found the first selected exclusion under early_exit."""
+
+
 def check(
     n: int, r: int, caps: Caps = DEFAULT_CAPS, early_exit: bool = False,
     criteria: Optional[Iterable[str]] = None,
@@ -140,74 +130,65 @@ def check(
     """Run the criterion chain for one dimension.
 
     Radius 2: kim, small_v, then per (v, p) lambda and field, then the orbit
-    instances for v in {13, 17}.  Radius 3: square24 then the v=7 orbit.  With
-    early_exit the chain stops after the first exclusion (scans default to
-    that; single checks keep the full audit trail).  A criteria subset
-    restricts which checks run at all (count tables use this).  The order is
-    factored by factor_orders(r, n, n); scan passes in `_factored`, the
-    entry for n of its own factor_orders call over the range.
+    instances for v in {13, 17}.  Radius 3: square24 then the v=7 orbit.  A
+    criteria subset restricts which outcomes are recorded (count tables use
+    this); lambda still runs to gate field when only field is selected.  A
+    criterion that runs out of budget is recorded as skipped.  With
+    early_exit the chain stops at the first recorded exclusion (scans
+    default to that; single checks keep the full audit trail).  The verdict
+    goes to the first exclusion of the strongest tier (_aggregate).  The
+    order is factored by factor_orders(r, n, n); scan passes in `_factored`,
+    the entry for n of its own factor_orders call over the range.
     """
     selected = set(_selected_criteria(r, criteria))
     if n < r:
         raise ValueError(f"radius {r} needs n >= {r}")
     order = _RADII[r][0](n)
-    outcomes: list[CriterionOutcome] = []
-    timing: dict[str, float] = {}
     fac = _factored
     if fac is None:
         fac = factor_orders(r, n, n, caps.factor_budget, caps.seed)[0]
     if isinstance(fac, nt.BudgetExceeded):
         out = CriterionOutcome("factorization", Status.SKIPPED, reason=str(fac))
-        return _aggregate(n, r, order, {}, [out], timing)
-    fac_dict = fac.as_dict()
+        return _aggregate(n, r, order, {}, [out])
+    outcomes: list[CriterionOutcome] = []
 
-    def run(name, fn, *args):
-        t0 = time.perf_counter()
+    def run(name, fn, *args) -> CriterionOutcome:
         try:
             out = fn(*args)
         except nt.BudgetExceeded as e:
             out = CriterionOutcome(name, Status.SKIPPED, reason=str(e))
-        timing[f"{name}#{len(outcomes)}"] = time.perf_counter() - t0
-        outcomes.append(out)
+        if name in selected:
+            outcomes.append(out)
+            if out.excluded and early_exit:
+                raise _EarlyExit
         return out
 
-    def done():
-        return _aggregate(n, r, order, fac_dict, outcomes, timing)
-
-    if r == 2:
-        if "kim" in selected:
-            if run("kim", radius2.kim_check, n, caps, fac).excluded and early_exit:
-                return done()
-        if "small_v" in selected:
-            if run("small_v", radius2.small_v_check, n).excluded and early_exit:
-                return done()
-        if "lambda" in selected or "field" in selected:
-            p_divs = nt.factorize(2 * n, budget=caps.factor_budget, seed=caps.seed).primes()
-            for v in fac.primes():
-                for p in p_divs:
-                    lam_out = run("lambda", radius2.lambda_check, n, v, p, caps)
-                    if "lambda" not in selected:
-                        outcomes.pop()  # evaluated only to gate the field check
-                    elif lam_out.excluded and early_exit:
-                        return done()
-                    if "field" in selected and lam_out.status is Status.UNDECIDED:
-                        cert = radius2.LambdaCertificate(**lam_out.certificate)
-                        f_out = run("field", radius2.field_check, n, v, p, caps, cert)
-                        if f_out.excluded and early_exit:
-                            return done()
-        if "orbit" in selected:
-            for v in radius2.ORBIT_INSTANCES:
-                if order % v == 0:
-                    if run("orbit", radius2.orbit_check, n, v, caps).excluded and early_exit:
-                        return done()
-    else:
-        if "square24" in selected:
-            if run("square24", radius3.square24_check, n).excluded and early_exit:
-                return done()
-        if "orbit_r3" in selected and order % radius3.ORBIT_INSTANCE[0] == 0:
-            run("orbit_r3", radius3.orbit_check_r3, n, caps)
-
-    return done()
+    # each criterion is looked up in its module at call time, so that a
+    # wrapper patched onto the module attribute (bench/spans.py) sees it
+    with contextlib.suppress(_EarlyExit):
+        if r == 2:
+            if "kim" in selected:
+                run("kim", radius2.kim_check, n, caps, fac)
+            if "small_v" in selected:
+                run("small_v", radius2.small_v_check, n)
+            if "lambda" in selected or "field" in selected:
+                p_divs = nt.factorize(2 * n, budget=caps.factor_budget, seed=caps.seed).primes()
+                for v in fac.primes():
+                    for p in p_divs:
+                        lam_out = run("lambda", radius2.lambda_check, n, v, p, caps)
+                        if "field" in selected and lam_out.status is Status.UNDECIDED:
+                            cert = radius2.LambdaCertificate(**lam_out.certificate)
+                            run("field", radius2.field_check, n, v, p, caps, cert)
+            if "orbit" in selected:
+                for v in radius2.ORBIT_INSTANCES:
+                    if order % v == 0:
+                        run("orbit", radius2.orbit_check, n, v, caps)
+        else:
+            if "square24" in selected:
+                run("square24", radius3.square24_check, n)
+            if "orbit_r3" in selected and order % radius3.ORBIT_INSTANCE[0] == 0:
+                run("orbit_r3", radius3.orbit_check_r3, n, caps)
+    return _aggregate(n, r, order, fac.as_dict(), outcomes)
 
 
 def _scan_one(args) -> Verdict:
@@ -244,7 +225,7 @@ class CountTable:
     per_criterion: dict[str, int]
     per_small_divisor: dict[int, int]
     include_external: bool
-    capped: list[int]  # dimensions where a selected criterion was skipped
+    capped: list[int]  # dimensions with a skipped selected criterion or factorization
 
 
 def counts(
@@ -264,14 +245,14 @@ def counts(
     per_criterion = {c: 0 for c in sel}
     per_v = dict.fromkeys(radius2.SMALL_DIVISORS, 0)
     capped = []
+    # an order that could not be factored leaves every selected criterion unrun
+    skippers = {*sel, "factorization"}
     for v in verdicts:
         fired = set()
         for o in v.outcomes:
-            if o.criterion not in sel:
-                continue
-            if o.status is Status.SKIPPED:
+            if o.status is Status.SKIPPED and o.criterion in skippers:
                 capped.append(v.n)
-            if o.excluded:
+            if o.excluded and o.criterion in sel:
                 fired.add(o.criterion)
                 if o.criterion == "small_v":
                     for sv in o.certificate.get("fired", ()):
@@ -355,14 +336,14 @@ def reproduce_table(caps: Caps = DEFAULT_CAPS,
 
 
 def emit(verdicts: Sequence[Verdict], fmt: str, caps: Caps = DEFAULT_CAPS,
-         path: Optional[str | Path] = None, include_timing: bool = False) -> str:
+         path: Optional[str | Path] = None) -> str:
     """Serialize verdicts to 'json' or 'csv'; byte-identical for equal caps/seed."""
     if fmt == "json":
         doc = {
             "caps": caps.to_json(),
             "seed": caps.seed,
             "version": VERSION,
-            "verdicts": [v.to_json(include_timing) for v in verdicts],
+            "verdicts": [v.to_json() for v in verdicts],
         }
         with _unlimited_int_digits():
             text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

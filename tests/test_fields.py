@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leeperfect import nt
+from leeperfect import nt, radius2
 from leeperfect.fields import (
     FieldCtx,
     PolyModRing,
@@ -17,8 +17,8 @@ from leeperfect.fields import (
     poly_gcd,
     prime_field,
 )
-from leeperfect.nt import BudgetExceeded
 from leeperfect.orbitfield import CosineField
+from leeperfect.outcomes import Caps, Status
 from theta_reference import in_prime_subfield, trace_to_prime
 
 
@@ -39,9 +39,16 @@ def test_build_field_deterministic():
     assert c.modulus == build_field(5, 3, seed=5).modulus
 
 
-def test_degree_cap():
-    with pytest.raises(BudgetExceeded):
-        build_field(3, 90, max_degree=80)
+def test_degree_cap(monkeypatch):
+    # the degree cap is Caps.max_field_degree, which field_check applies
+    # before it asks for a field; build_field has none of its own
+    def no_field(*args):
+        raise AssertionError("a field was asked for past the degree cap")
+
+    monkeypatch.setattr(radius2, "_field_ctx", no_field)
+    out = radius2.field_check(14, 421, 7, Caps(max_field_degree=69))  # f = 70
+    assert out.status is Status.SKIPPED
+    assert out.reason == "extension degree 70 exceeds max_field_degree 69"
 
 
 def _unfiltered_modulus(p, f, seed):

@@ -140,12 +140,32 @@ def test_lambda_value_needs_a_prime_divisor():
                 fn(6, 17, p)
 
 
+def _generates_full_unit_group(gens, v, vfac):
+    """Reference for the two_and_p_generate hypothesis: <gens> = (Z/v)* for
+    prime v, by the maximal-subgroup test."""
+    return all(any(pow(g, (v - 1) // q, v) != 1 for g in gens) for q in vfac.primes())
+
+
+@given(n=st.integers(2, 3000))
+@example(n=14)  # (v, p) = (421, 7): 2 is primitive mod 421
+@example(n=102)  # (v, p) = (21013, 3)
+@settings(max_examples=60, deadline=None)
+def test_two_and_p_generate_matches_maximal_subgroup_test(n):
+    # lambda_value reads the hypothesis off lambda_chain's orders h2 and hp
+    for v in nt.factorize(group_order_r2(n)).primes():
+        vfac = nt.factorize(v - 1)
+        for p in nt.factorize(2 * n).primes():
+            cert = radius2.lambda_value(n, v, p)
+            expect = _generates_full_unit_group([2, p % v], v, vfac)
+            assert cert.hypotheses["two_and_p_generate"] == expect, (n, v, p)
+
+
 def test_lambda_formula_matches_bruteforce_sample():
     checked = 0
     for v in (13, 17, 29, 37, 41, 53, 61, 73, 89, 97):
         vfac = nt.factorize(v - 1)
         for p in (3, 5, 7, 11, 13):
-            if p == v or not radius2._generates_full_unit_group([2, p % v], v, vfac):
+            if p == v or not _generates_full_unit_group([2, p % v], v, vfac):
                 continue
             M = radius2.lambda_chain(v, p, vfac)[-1]
             assert M == radius2.lambda_bruteforce(v, p), (v, p)
@@ -235,7 +255,7 @@ def test_theta_table_matches_scalar_theta(n, v, p, f, N, d, mode):
     assert (cert.f, cert.lam * v // math.gcd(cert.lam, v), cert.d) == (f, N, d)
     assert mode == ("power_sum" if cert.h2 == v - 1 else "trace")
     caps = DEFAULT_CAPS
-    ctx = radius2._field_ctx(p, f, caps.seed, caps.max_field_degree)
+    ctx = radius2._field_ctx(p, f, caps.seed)
     w = exact_order_element(ctx, N, nt.seeded_rng(caps.seed, "unity-gen", p, f, N))
     residues, in_fp = radius2._theta_tables(ctx, w, N, v, d, mode)
     one = x = ctx.one()

@@ -12,7 +12,7 @@ import pytest
 import leeperfect
 from leeperfect import cli, nt, oracle, radius2, radius3, selftest, survey
 from leeperfect.geometry import group_order_r2, group_order_r3
-from leeperfect.outcomes import Caps, InternalInconsistencyError, Status, Tier
+from leeperfect.outcomes import Caps, CriterionOutcome, InternalInconsistencyError, Status, Tier
 from leeperfect.survey import R2_CRITERIA, Verdict, check, counts, emit, parse_report, scan
 
 
@@ -47,12 +47,42 @@ def test_early_exit_stops_after_first_exclusion():
     assert v.excluded and len(v.outcomes) == 1
 
 
+def _outcome(criterion, status=Status.EXCLUDED, tier=Tier.UNCONDITIONAL):
+    return CriterionOutcome(criterion, status, tier if status is Status.EXCLUDED else None)
+
+
+@pytest.mark.parametrize("outcomes, overall, tier, by", [
+    # an unconditional exclusion outranks a cited one that came first
+    ([_outcome("kim", Status.UNDECIDED), _outcome("orbit", tier=Tier.CITED),
+      _outcome("lambda"), _outcome("field")], "excluded", Tier.UNCONDITIONAL, "lambda"),
+    # of two unconditional ones the first decides
+    ([_outcome("small_v"), _outcome("kim"), _outcome("orbit", tier=Tier.CITED)],
+     "excluded", Tier.UNCONDITIONAL, "small_v"),
+    # cited exclusions alone decide
+    ([_outcome("kim", Status.NOT_APPLICABLE), _outcome("orbit", tier=Tier.CITED),
+      _outcome("lambda", Status.SKIPPED)], "excluded", Tier.CITED, "orbit"),
+    # nothing excluded leaves the dimension open
+    ([_outcome("kim", Status.UNDECIDED), _outcome("field", Status.SKIPPED)], "open", None, None),
+    ([], "open", None, None),
+])
+def test_strongest_tier_decides(outcomes, overall, tier, by):
+    v = survey._aggregate(100, 2, group_order_r2(100), {}, outcomes)
+    assert (v.overall, v.tier, v.excluded_by, v.citation) == (overall, tier, by, None)
+    assert v.outcomes == outcomes
+
+
 def test_criteria_subset():
     v = check(8, 2, criteria=["kim"])
     assert [o.criterion for o in v.outcomes] == ["kim"]
     assert not v.excluded  # n=8 is excluded by small_v only
     v = check(8, 2, criteria=["small_v"])
     assert v.excluded
+    # lambda runs to gate field but is not recorded, and early exit stops
+    # at the first recorded exclusion
+    v = check(14, 2, criteria=["field"])
+    assert {o.criterion for o in v.outcomes} == {"field"} and v.excluded_by == "field"
+    v = check(14, 2, early_exit=True, criteria=["field"])
+    assert v.outcomes[-1].excluded and sum(o.excluded for o in v.outcomes) == 1
 
 
 def test_scan_sorted_and_range():
@@ -105,6 +135,17 @@ def test_counts_monotone_in_criteria():
 
 def test_counts_r3():
     assert counts(3, 10, ["square24"]).total == 1
+
+
+def test_counts_caps_a_skipped_factorization():
+    # at factor_budget = 1 the order of n = 8698 needs rho and is not
+    # factored, so no criterion runs there: the count has to say so
+    caps = Caps(factor_budget=1)
+    verdicts = scan(3, 8690, 8700, caps, early_exit=False)
+    skipped = [v for v in verdicts if v.skips()]
+    assert [(v.n, v.skips()) for v in skipped] == [(8698, ["factorization"])]
+    assert counts(3, 8700, caps=caps, verdicts=verdicts).capped == [8698]
+    assert counts(3, 8700, ["square24"], caps, verdicts=verdicts).capped == [8698]
 
 
 def test_cap_monotonicity_on_field_check():
