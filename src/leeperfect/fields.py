@@ -9,9 +9,10 @@ the orbit searches in F_p[y]/Psi_v (orbitfield.CosineField) run on it.
 
 A FieldCtx is a PolyModRing whose modulus is a monic irreducible polynomial
 over F_p, found by seeded search and certified by Rabin's test.  Its
-FieldElements are coefficient tuples of length f.  Elements never migrate
-between contexts: mixing owners raises immediately, since a silently
-coerced operand is the classic way to get a wrong character sum.
+elements are rows like any other ring's; exact_order_element draws one of a
+given multiplicative order.  There is no second element model here: the
+scalar FieldElement that the tests compare the kernel with lives in
+tests/theta_reference.py.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class PolyModRing:
         for _ in range(d - 2):
             prev = rows[-1]
             rows.append((np.concatenate(([0], prev[:-1])) + prev[-1] * rows[0]) % p)
-        self._red = np.array(rows[: d - 1], dtype=np.int64).reshape(d - 1, d)
-        self._frob = {0: np.eye(d, dtype=np.int64)}
+        self._red = _frozen(np.array(rows[: d - 1], dtype=np.int64).reshape(d - 1, d))
+        self._frob = {0: _frozen(np.eye(d, dtype=np.int64))}
         self._trace: Optional[np.ndarray] = None
 
     def scalar_vec(self, c: int) -> np.ndarray:
@@ -119,7 +120,7 @@ class PolyModRing:
     def frob_matrix(self, e: int) -> np.ndarray:
         """Matrix of z -> z^(p^e) on coefficient rows (row i holds (x^i)^(p^e)),
         e >= 0.  The exponent is taken as given: only a field has
-        z^(p^deg) = z."""
+        z^(p^deg) = z.  The matrix is the ring's cached one, read-only."""
         if e not in self._frob:
             if e == 1:
                 xp = self.pow(self.x_vec(), self.p)[None, :]
@@ -128,19 +129,20 @@ class PolyModRing:
                     m[i] = self.mul(m[i - 1 : i], xp)[0]
             else:
                 m = self.frob_matrix(e - 1) @ self.frob_matrix(1) % self.p
-            self._frob[e] = m
+            self._frob[e] = _frozen(m)
         return self._frob[e]
 
     def frob(self, A: np.ndarray, e: int = 1) -> np.ndarray:
         return A @ self.frob_matrix(e) % self.p
 
     def trace_matrix(self) -> np.ndarray:
-        """Matrix of z -> sum of z^(p^k), k < deg, acting on coefficient rows."""
+        """Matrix of z -> sum of z^(p^k), k < deg, acting on coefficient rows
+        (cached, read-only)."""
         if self._trace is None:
             tr = np.zeros((self.deg, self.deg), dtype=np.int64)
             for k in range(self.deg):
                 tr = (tr + self.frob_matrix(k)) % self.p
-            self._trace = tr
+            self._trace = _frozen(tr)
         return self._trace
 
 
@@ -174,99 +176,6 @@ class FieldCtx(PolyModRing):
                 return False
         return True
 
-    # -- elements --------------------------------------------------------------
-
-    def element(self, coeffs) -> "FieldElement":
-        arr = tuple(int(c) % self.p for c in coeffs)
-        if len(arr) > self.deg:
-            raise ValueError("too many coefficients")
-        return FieldElement(self, arr + (0,) * (self.deg - len(arr)))
-
-    def zero(self) -> "FieldElement":
-        return self.element(())
-
-    def one(self) -> "FieldElement":
-        return self.element((1,))
-
-    def scalar(self, c: int) -> "FieldElement":
-        return self.element((c,))
-
-    def gen(self) -> "FieldElement":
-        return self.element((0, 1)) if self.deg > 1 else self.one()
-
-    def random_element(self, rng) -> "FieldElement":
-        return self.element(tuple(rng.randrange(self.p) for _ in range(self.deg)))
-
-    def __repr__(self):
-        return f"FieldCtx(p={self.p}, f={self.deg})"
-
-
-class FieldElement:
-    """Immutable element of a FieldCtx, in reduced coefficient form."""
-
-    __slots__ = ("owner", "coeffs")
-
-    def __init__(self, owner: FieldCtx, coeffs: tuple[int, ...]):
-        self.owner = owner
-        self.coeffs = coeffs
-
-    def _check(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement):
-            raise TypeError("field elements only combine with field elements")
-        if self.owner is not other.owner:
-            raise ValueError("operands belong to different field contexts")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.owner.p
-        return FieldElement(self.owner, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        p = self.owner.p
-        return FieldElement(self.owner, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "FieldElement":
-        p = self.owner.p
-        return FieldElement(self.owner, tuple(-a % p for a in self.coeffs))
-
-    def row(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=np.int64)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return _element(self.owner, self.owner.mul(self.row()[None, :], other.row()[None, :])[0])
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            return self.inv() ** (-e)
-        return _element(self.owner, self.owner.pow(self.row(), e))
-
-    def inv(self) -> "FieldElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        return _element(self.owner, self.owner.inv(self.row()))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.owner is other.owner
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.owner), self.coeffs))
-
-    def __repr__(self):
-        return f"Fe{list(self.coeffs)}"
-
-
-def _element(ctx: FieldCtx, row: np.ndarray) -> FieldElement:
-    return FieldElement(ctx, tuple(row.tolist()))
-
 
 def build_field(p: int, f: int, seed: int = 0) -> FieldCtx:
     """Seeded search for an irreducible degree-f modulus; same seed, same field.
@@ -290,25 +199,20 @@ def build_field(p: int, f: int, seed: int = 0) -> FieldCtx:
             continue
 
 
-def frobenius(e: FieldElement, k: int) -> FieldElement:
-    """e^(p^k) via the precomputed p-th-power linear maps; k is taken mod f,
-    since z^(p^f) = z in F_{p^f}."""
-    if k < 0:
-        raise ValueError("negative Frobenius power")
-    return _element(e.owner, e.owner.frob(e.row(), k % e.owner.deg))
-
-
-def exact_order_element(ctx: FieldCtx, k: int, rng) -> FieldElement:
-    """g^((size-1)/k) for random nonzero g drawn from rng, until one has
-    exact multiplicative order k (k must divide size - 1)."""
+def exact_order_element(ctx: FieldCtx, k: int, rng) -> np.ndarray:
+    """The row g^((size-1)/k) for random nonzero g drawn from rng, until one
+    has exact multiplicative order k; k must divide size - 1."""
+    if (ctx.size - 1) % k:
+        raise ValueError(f"{k} does not divide {ctx.size} - 1")
     prime_divs = nt.factorize(k).primes()
     cofactor = (ctx.size - 1) // k
+    one = ctx.scalar_vec(1)
     while True:
-        g = ctx.random_element(rng)
-        if not g:
+        g = np.array([rng.randrange(ctx.p) for _ in range(ctx.deg)], dtype=np.int64)
+        if not g.any():
             continue
-        z = g**cofactor
-        if all(z ** (k // q) != ctx.one() for q in prime_divs):
+        z = ctx.pow(g, cofactor)
+        if all(not np.array_equal(ctx.pow(z, k // q), one) for q in prime_divs):
             return z
 
 
@@ -359,6 +263,13 @@ def poly_gcd(K: PolyModRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # -- internal helpers -----------------------------------------------------------
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a ring's cached maps are shared by every caller
+    (radius2._field_ctx caches whole rings)."""
+    a.flags.writeable = False
+    return a
 
 
 def _has_root(coeffs: list[int], p: int) -> bool:

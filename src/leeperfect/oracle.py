@@ -170,19 +170,3 @@ def oracle_verdict(n: int, r: int, caps: Caps = DEFAULT_CAPS, order_seed: int = 
     if skipped:
         return OracleResult("skipped", None, tuple(searched))
     return OracleResult("not_exists", None, tuple(searched))
-
-
-def cyclic_witness_equivalent(m: int, gens_a, gens_b) -> bool:
-    """Are two cyclic-group witnesses related by a unit multiplication
-    combined with per-generator negation and permutation?"""
-
-    def classes(gens):
-        return sorted(min(g % m, -g % m) for g in gens)
-
-    target = classes(gens_b)
-    for u in range(1, m):
-        if math.gcd(u, m) != 1:
-            continue
-        if classes([u * g for g in gens_a]) == target:
-            return True
-    return False

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import nt
 from .fields import (
-    PolyModRing, _fits_int64, build_field, exact_order_element, frobenius, poly_gcd, prime_field,
+    PolyModRing, _fits_int64, build_field, exact_order_element, poly_gcd, prime_field,
 )
 from .geometry import group_order_r2
 from .nt import BudgetExceeded
@@ -421,21 +421,21 @@ def _orbit_sum(T: np.ndarray, L: int, p: int) -> np.ndarray:
 def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
     """theta for every possible product x*y at once.
 
-    x and y are both powers of the order-N element w (N = lcm(lambda, v)),
-    so theta(x, y) only depends on the w-exponent of x*y.  The (N, f) power
-    table W[j] = w^j is built in doubling blocks, W[size + j] = W[j] @ M,
-    where M is the F_p-linear matrix of multiplication by w^size.  Each
-    theta value is then an orbit sum over the doubling orbit k * 2^i mod N,
-    of L = v - 1 rows of W (power sum) or of L = d entries of the trace
-    vector (trace), taken by binary splitting in O(log L) gathers.
-    Afterwards each (x, y) pair is a single lookup.  Returns
-    (residues, in_fp) as N-vectors, in_fp marking the values in F_p.
+    x and y are both powers of the order-N element w, a coefficient row of
+    ctx (N = lcm(lambda, v)), so theta(x, y) only depends on the w-exponent
+    of x*y.  The (N, f) power table W[j] = w^j is built in doubling blocks,
+    W[size + j] = W[j] @ M, where M is the F_p-linear matrix of
+    multiplication by w^size.  Each theta value is then an orbit sum over
+    the doubling orbit k * 2^i mod N, of L = v - 1 rows of W (power sum) or
+    of L = d entries of the trace vector (trace), taken by binary splitting
+    in O(log L) gathers.  Afterwards each (x, y) pair is a single lookup.
+    Returns (residues, in_fp) as N-vectors, in_fp marking the values in F_p.
     """
     f, p = ctx.deg, ctx.p
     W = np.zeros((N, f), dtype=np.int64)
     W[0, 0] = 1
     if N > 1:
-        W[1] = w.row()
+        W[1] = w
     size = 2
     while size < N:  # doubling blocks: W[size + j] = w^size * w^j
         block = min(size, N - size)
@@ -552,8 +552,9 @@ def field_check(
     ctx = _field_ctx(p, f, caps.seed)
     w = exact_order_element(ctx, N, nt.seeded_rng(caps.seed, "unity-gen", p, f, N))
     # the lambda-th roots lie in the subfield fixed by Frobenius^l
-    x_gen = w ** (N // lam)
-    assert frobenius(x_gen, lam_cert.l) == x_gen, "lambda-th root escaped F_{p^l}"
+    x_gen = ctx.pow(w, N // lam)
+    fixed = ctx.frob(x_gen, lam_cert.l % f)
+    assert np.array_equal(fixed, x_gen), "lambda-th root escaped F_{p^l}"
     residues, in_fp = _theta_tables(ctx, w, N, v, lam_cert.d, mode)
     m = lam_cert.m
     candidates, passing = _field_candidates(residues, in_fp, n, v, p, lam, m)

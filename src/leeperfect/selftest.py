@@ -20,7 +20,7 @@ from .geometry import enumerate_sphere, sphere_size
 from .groupring import AbelianGroup, GroupRingElement, power_map
 from .oracle import oracle_verdict
 from .orbitfield import CosineField
-from .outcomes import Caps, DEFAULT_CAPS, InternalInconsistencyError
+from .outcomes import Caps, DEFAULT_CAPS
 
 
 def _lambda_suite(log: Callable[[str], None], caps: Caps) -> bool:

@@ -22,9 +22,10 @@ import pytest
 from leeperfect import nt, radius2, radius3, survey
 from leeperfect.geometry import group_order_r2, group_order_r3, verify_witness
 from leeperfect.groupring import build_T, verify_r2_identity, verify_r3_identity
-from leeperfect.oracle import cyclic_witness_equivalent, oracle_verdict
+from leeperfect.oracle import oracle_verdict
 from leeperfect.outcomes import Caps, Status
 from leeperfect.reference import OPEN_SET_R2_100
+from witness_classes import cyclic_witness_equivalent
 
 CAPS = Caps()
 

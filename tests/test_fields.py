@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -12,14 +11,22 @@ from leeperfect.fields import (
     _has_root,
     build_field,
     exact_order_element,
-    frobenius,
     poly_divmod,
     poly_gcd,
     prime_field,
 )
 from leeperfect.orbitfield import CosineField
 from leeperfect.outcomes import Caps, Status
-from theta_reference import in_prime_subfield, trace_to_prime
+from theta_reference import (
+    element,
+    frobenius,
+    gen,
+    in_prime_subfield,
+    one,
+    random_element,
+    scalar,
+    trace_to_prime,
+)
 
 
 def test_build_field_sizes():
@@ -95,7 +102,7 @@ def f125():
 def test_field_axioms_random(f125):
     rng = nt.seeded_rng(9, "axioms")
     for _ in range(50):
-        a, b, c = (f125.random_element(rng) for _ in range(3))
+        a, b, c = (random_element(f125, rng) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
@@ -104,29 +111,29 @@ def test_field_axioms_random(f125):
 
 def test_inverse_and_lagrange(f125):
     rng = nt.seeded_rng(10, "inv")
-    one = f125.one()
+    unit = one(f125)
     for _ in range(100):
-        x = f125.random_element(rng)
+        x = random_element(f125, rng)
         if not x:
             continue
-        assert x * x.inv() == one
-        assert x ** (f125.size - 1) == one
+        assert x * x.inv() == unit
+        assert x ** (f125.size - 1) == unit
     with pytest.raises(ZeroDivisionError):
-        f125.zero().inv()
+        scalar(f125, 0).inv()
 
 
 def test_pow_matches_frobenius(f125):
     rng = nt.seeded_rng(11, "frobpow")
     for _ in range(30):
-        e = f125.random_element(rng)
+        e = random_element(f125, rng)
         assert e**5 == frobenius(e, 1)
 
 
 def test_frobenius_orbit_and_additivity(f125):
     rng = nt.seeded_rng(12, "frob")
     for _ in range(30):
-        e = f125.random_element(rng)
-        f = f125.random_element(rng)
+        e = random_element(f125, rng)
+        f = random_element(f125, rng)
         assert frobenius(e, f125.deg) == e
         assert frobenius(e, 0) == e
         assert frobenius(e + f, 1) == frobenius(e, 1) + frobenius(f, 1)
@@ -144,23 +151,23 @@ def test_frob_is_the_p_power_on_rings_that_are_not_fields(modulus):
 
 
 def test_trace_values_and_linearity(f125):
-    assert trace_to_prime(f125.one()) == f125.deg % 5
-    assert trace_to_prime(f125.zero()) == 0
+    assert trace_to_prime(one(f125)) == f125.deg % 5
+    assert trace_to_prime(scalar(f125, 0)) == 0
     rng = nt.seeded_rng(13, "trace")
     for _ in range(30):
-        e = f125.random_element(rng)
-        f = f125.random_element(rng)
+        e = random_element(f125, rng)
+        f = random_element(f125, rng)
         assert trace_to_prime(e + f) == (trace_to_prime(e) + trace_to_prime(f)) % 5
         c = rng.randrange(5)
-        assert trace_to_prime(f125.scalar(c) * e) == c * trace_to_prime(e) % 5
+        assert trace_to_prime(scalar(f125, c) * e) == c * trace_to_prime(e) % 5
 
 
 def test_in_prime_subfield(f125):
-    assert in_prime_subfield(f125.scalar(4)) == 4
-    assert in_prime_subfield(f125.gen()) is None
+    assert in_prime_subfield(scalar(f125, 4)) == 4
+    assert in_prime_subfield(gen(f125)) is None
     rng = nt.seeded_rng(14, "subfield")
     for _ in range(40):
-        e = f125.random_element(rng)
+        e = random_element(f125, rng)
         fixed = frobenius(e, 1) == e
         assert (in_prime_subfield(e) is not None) == fixed
 
@@ -168,12 +175,11 @@ def test_in_prime_subfield(f125):
 def test_roots_of_unity_f27():
     # the powers of one order-13 element are all 13 roots of unity (13 | 3^3 - 1)
     ctx = build_field(3, 3)
-    z = exact_order_element(ctx, 13, nt.seeded_rng(0, "unity", 3, 3, 13))
+    z = element(ctx, exact_order_element(ctx, 13, nt.seeded_rng(0, "unity", 3, 3, 13)))
     roots = [z**k for k in range(13)]
     assert len(set(roots)) == 13
-    one = ctx.one()
     for r in roots:
-        assert r**13 == one
+        assert r**13 == one(ctx)
     # closed under products
     rng = nt.seeded_rng(15, "unitygrp")
     for _ in range(20):
@@ -184,12 +190,33 @@ def test_roots_of_unity_f27():
 def test_lambda_roots_in_fixed_subfield_f7_35():
     # unity subgroup of size 3 inside F_{7^35}; each member fixed by Frobenius^35
     ctx = build_field(7, 35)
-    z = exact_order_element(ctx, 3, nt.seeded_rng(0, "unity", 7, 35, 3))
-    assert z != ctx.one() and z**3 == ctx.one()
-    roots = [ctx.one(), z, z * z]
+    z = element(ctx, exact_order_element(ctx, 3, nt.seeded_rng(0, "unity", 7, 35, 3)))
+    assert z != one(ctx) and z**3 == one(ctx)
+    roots = [one(ctx), z, z * z]
     assert len(set(roots)) == 3
     for r in roots:
         assert frobenius(r, 35) == r
+
+
+def test_exact_order_element_has_exactly_that_order():
+    ctx = build_field(5, 3, seed=1)
+    for k in (k for k in range(1, ctx.size) if (ctx.size - 1) % k == 0):
+        z = element(ctx, exact_order_element(ctx, k, nt.seeded_rng(0, "order", k)))
+        assert z**k == one(ctx)
+        assert all(z ** (k // q) != one(ctx) for q in nt.factorize(k).primes())
+    # 7 does not divide 5^3 - 1 = 124, so F_125 has no element of order 7
+    with pytest.raises(ValueError):
+        exact_order_element(build_field(5, 3), 7, nt.seeded_rng(0, "x"))
+
+
+def test_cached_maps_are_read_only():
+    # field_check shares each cached ring: a write to one of its maps would
+    # change every later Frobenius, trace and product
+    ring = radius2._field_ctx(5, 3, 0)
+    for a in (ring._red, ring.frob_matrix(0), ring.frob_matrix(1), ring.frob_matrix(2),
+              ring.trace_matrix()):
+        with pytest.raises(ValueError):
+            a[0, 0] += 1
 
 
 def test_cross_context_is_error():
@@ -197,9 +224,9 @@ def test_cross_context_is_error():
     a = build_field(5, 3, seed=1)
     b = build_field(5, 3, seed=1)
     with pytest.raises(ValueError):
-        _ = a.one() + b.one()
+        _ = one(a) + one(b)
     with pytest.raises(ValueError):
-        _ = a.one() * b.gen()
+        _ = one(a) * gen(b)
 
 
 # -- the shared F_p[x]/(m) kernel ------------------------------------------------
@@ -208,14 +235,6 @@ def test_cross_context_is_error():
 # the cosine fields of the (13, 11), (17, 3) and (7, 5) orbit searches
 _RINGS = [build_field(7, 1), CosineField(5, 3), build_field(5, 3, seed=1),
           build_field(3, 8, seed=2)] + [CosineField(p, v) for v, p in ((13, 11), (17, 3), (7, 5))]
-
-
-def _as_field(ring) -> FieldCtx:
-    """FieldElements over the same modulus (Psi_v stays irreducible mod p)."""
-    return ring if isinstance(ring, FieldCtx) else FieldCtx(ring.p, ring.modulus)
-
-
-_FIELDS = [_as_field(ring) for ring in _RINGS]
 
 
 def _schoolbook(a, b, modulus, p):
@@ -234,23 +253,22 @@ def _schoolbook(a, b, modulus, p):
 
 @st.composite
 def _operands(draw):
-    i = draw(st.integers(0, len(_RINGS) - 1))
-    ring = _RINGS[i]
+    ring = draw(st.sampled_from(_RINGS))
     rows = draw(st.integers(2, 5))
     elt = st.lists(st.integers(0, ring.p - 1), min_size=ring.deg, max_size=ring.deg)
     A, B = (np.array(draw(st.lists(elt, min_size=rows, max_size=rows)), dtype=np.int64)
             for _ in range(2))
-    return ring, _FIELDS[i], A, B
+    return ring, A, B
 
 
 @settings(max_examples=80, deadline=None)
 @given(_operands())
 def test_kernel_batched_mul_matches_single_row_and_field_elements(ops):
-    ring, F, A, B = ops
+    ring, A, B = ops
     batched = ring.mul(A, B)
     for a, b, c in zip(A, B, batched):
         assert np.array_equal(ring.mul(a[None, :], b[None, :])[0], c)
-        assert (F.element(a) * F.element(b)).coeffs == tuple(c.tolist())
+        assert (element(ring, a) * element(ring, b)).coeffs == tuple(c.tolist())
         assert _schoolbook(a.tolist(), b.tolist(), ring.modulus, ring.p) == c.tolist()
     # a one-row operand broadcasts against the batch
     assert np.array_equal(ring.mul(A[:1], B), ring.mul(np.repeat(A[:1], len(B), axis=0), B))
@@ -259,9 +277,9 @@ def test_kernel_batched_mul_matches_single_row_and_field_elements(ops):
 @settings(max_examples=40, deadline=None)
 @given(_operands(), st.integers(0, 9))
 def test_kernel_frobenius_is_the_p_power(ops, e):
-    ring, F, A, _ = ops
+    ring, A, _ = ops
     for a, fa in zip(A, ring.frob(A, e)):
-        assert (F.element(a) ** ring.p**e).coeffs == tuple(fa.tolist())
+        assert (element(ring, a) ** ring.p**e).coeffs == tuple(fa.tolist())
         assert np.array_equal(ring.pow(a, ring.p**e), fa)
 
 

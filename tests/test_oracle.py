@@ -5,13 +5,9 @@ import pytest
 from leeperfect.geometry import sphere_size, verify_witness
 from leeperfect.groupring import build_T, verify_r2_identity, verify_r3_identity
 from leeperfect.nt import BudgetExceeded
-from leeperfect.oracle import (
-    cyclic_witness_equivalent,
-    enumerate_abelian_groups,
-    oracle_verdict,
-    search_code,
-)
+from leeperfect.oracle import enumerate_abelian_groups, oracle_verdict, search_code
 from leeperfect.outcomes import Caps
+from witness_classes import cyclic_witness_equivalent
 
 
 def test_enumerate_abelian_groups():

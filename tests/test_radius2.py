@@ -9,12 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from leeperfect import nt, radius2
+from leeperfect import nt, radius2, survey
 from leeperfect.fields import exact_order_element
 from leeperfect.geometry import group_order_r2
 from leeperfect.orbitfield import CosineField
 from leeperfect.outcomes import Caps, DEFAULT_CAPS, Status, Tier
-from theta_reference import theta
+from theta_reference import element, one, theta
 
 
 def test_kim_examples():
@@ -236,13 +236,12 @@ def test_selftest_inversion_suite_checks_the_engine_inversion(monkeypatch):
 def test_theta_trivial_values():
     from leeperfect.fields import build_field
 
-    ctx = build_field(3, 16)  # ord_17(3) = 16
-    one = ctx.one()
+    unit = one(build_field(3, 16))  # ord_17(3) = 16
     # power-sum mode at x = y = 1 sums v-1 copies of 1
-    assert theta(one, one, 17, 1, "power_sum") == (17 - 1) % 3
+    assert theta(unit, unit, 17, 1, "power_sum") == (17 - 1) % 3
     # trace mode sums d traces of 1, each f mod p
     d = 1
-    assert theta(one, one, 17, d, "trace") == d * 16 % 3
+    assert theta(unit, unit, 17, d, "trace") == d * 16 % 3
 
 
 @pytest.mark.parametrize("n, v, p, f, N, d, mode", [
@@ -258,12 +257,13 @@ def test_theta_table_matches_scalar_theta(n, v, p, f, N, d, mode):
     ctx = radius2._field_ctx(p, f, caps.seed)
     w = exact_order_element(ctx, N, nt.seeded_rng(caps.seed, "unity-gen", p, f, N))
     residues, in_fp = radius2._theta_tables(ctx, w, N, v, d, mode)
-    one = x = ctx.one()
+    unit = x = one(ctx)
+    step = element(ctx, w)
     for k in range(N):  # x = w^k
-        expect = theta(x, one, v, d, mode)
+        expect = theta(x, unit, v, d, mode)
         assert bool(in_fp[k]) == (expect is not None), k
         assert expect is None or int(residues[k]) == expect, k
-        x = x * w
+        x = x * step
 
 
 def _orbit_sum_linear(T, L, p):
@@ -350,6 +350,18 @@ _FIELD_CERT_SHA256 = {
 @pytest.mark.parametrize("n, v, p", sorted(_FIELD_CERT_SHA256))
 def test_field_check_certificate_pinned(n, v, p):
     assert _cert_sha256(radius2.field_check(n, v, p)) == _FIELD_CERT_SHA256[n, v, p]
+
+
+def test_every_field_outcome_to_500_pinned():
+    # every field outcome of the radius-2 scan to 500, certificates included:
+    # a change in the field or the order-N element w that field_check draws
+    # moves this digest, while the theta-table tests draw the same w
+    outs = [[v.n, o.status.value, o.reason, o.params, o.certificate]
+            for v in survey.scan(2, 3, 500, early_exit=False, criteria=("field",))
+            for o in v.outcomes if o.criterion == "field"]
+    assert len(outs) == 234
+    assert hashlib.sha256(json.dumps(outs, sort_keys=True).encode()).hexdigest() == (
+        "801c5358110ebe286566f59a7098be2dfedc9dadf4cdf8bcea59535b096eb42c")
 
 
 def _field_candidates_reference(residues, in_fp, n, v, p, lam, m):
