@@ -2,10 +2,16 @@
 
 PolyModRing is the one kernel: coefficient rows of length d = deg m, with a
 batched multiply-and-reduce on (N, d) int64 arrays, single-element powers,
-and Frobenius and trace as precomputed F_p-linear maps (numpy integer
+and multiplication, Frobenius and trace as precomputed F_p-linear maps (d x d
 matrices), which keeps the per-element cost of the character-orbit
 evaluations low even at degree 70.  Both the theta tables over F_{p^f} and
 the orbit searches in F_p[y]/Psi_v (orbitfield.CosineField) run on it.
+
+The F_p-linear maps (multiplication matrices, the power tables, Frobenius
+and its powers, the trace) run as float64 BLAS products (_matmul): every
+partial sum is an integer below 2^53, so they are exact.  The shift-add
+product mul and pow stay on int64: their reduce multiplies unreduced
+coefficients, whose sums _fits_int64 bounds only by 2^63.
 
 A FieldCtx is a PolyModRing whose modulus is a monic irreducible polynomial
 over F_p, found by seeded search and certified by Rabin's test.  Its
@@ -20,11 +26,14 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nt
 from .nt import BudgetExceeded, seeded_rng
 
 _INT64_MAX = 2**63 - 1
+_FLOAT_EXACT = 2**53  # float64 holds every integer up to here exactly
+_ONE_THREAD = 2**18  # OpenBLAS runs a product of at most this many multiply-adds on one thread
 
 
 def _fits_int64(p: int, d: int) -> bool:
@@ -33,9 +42,50 @@ def _fits_int64(p: int, d: int) -> bool:
     The shift-add product leaves each of the d - 1 high coefficients below
     (d - 1)(p - 1)^2, unreduced; their product with the reduction rows (entries
     below p) adds (d - 1)^2 (p - 1)^3 to a low coefficient below d (p - 1)^2.
-    The Frobenius, trace and power-table matmuls sum only d products below p^2.
+
+    The F_p-linear maps (_matmul) sum only d products below p^2, and this
+    bound keeps those sums below 2^43 < 2^53 for every d >= 2, so their
+    float64 products are exact: (d - 1)^2 (p - 1)^3 < 2^63 gives
+    (p - 1)^2 < 2^42 / (d - 1)^(4/3), and d / (d - 1)^(4/3) falls from 2 at
+    d = 2, so d (p - 1)^2 < 2^43.  At d = 1 the bound admits p up to about
+    3e9, where (p - 1)^2 passes 2^53; _matmul keeps those products on int64.
     """
     return d * (p - 1) ** 2 + (d - 1) ** 2 * (p - 1) ** 3 <= _INT64_MAX
+
+
+def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """(A @ B) mod p as int64, for int64 or float64 operands holding integers
+    in [0, p).
+
+    Each entry sums k = A.shape[-1] products below (p - 1)^2.  While that
+    stays below 2^53 (every ring of degree >= 2, see _fits_int64), every
+    partial sum is an integer that float64 holds exactly, whatever order
+    BLAS adds in, so its blocking and thread count cannot change a result.
+    Past that (degree-1 rings with p above about 9.5e7) the product stays on
+    int64.
+
+    A matrix A is multiplied in row blocks of at most _ONE_THREAD
+    multiply-adds, which OpenBLAS runs on the calling thread: a second BLAS
+    thread spins between calls, which slowed the worker processes of a
+    --threads scan and bought no wall time in one process
+    (BENCH_fieldblas.json).  A vector A (Rabin's steps) is one call: OpenBLAS
+    ran those vector-matrix products on one thread at every degree tried, up
+    to 400.
+    """
+    dtype = np.float64 if A.shape[-1] * (p - 1) ** 2 <= _FLOAT_EXACT else np.int64
+    # contiguous operands: numpy runs a strided view through its own loop, not BLAS
+    A = np.ascontiguousarray(A, dtype=dtype)
+    B = np.ascontiguousarray(B, dtype=dtype)
+    if A.ndim == 1:
+        R = A @ B
+    else:
+        R = np.empty((A.shape[0], B.shape[1]), dtype=dtype)
+        step = max(1, _ONE_THREAD // max(1, A.shape[1] * B.shape[1]))
+        for i in range(0, A.shape[0], step):
+            np.matmul(A[i : i + step], B, out=R[i : i + step])
+    R = R.astype(np.int64, copy=False)
+    R %= p  # on int64: a float fmod is ten times slower
+    return R
 
 
 class PolyModRing:
@@ -56,7 +106,7 @@ class PolyModRing:
             prev = rows[-1]
             rows.append((np.concatenate(([0], prev[:-1])) + prev[-1] * rows[0]) % p)
         self._red = _frozen(np.array(rows[: d - 1], dtype=np.int64).reshape(d - 1, d))
-        self._frob = {0: _frozen(np.eye(d, dtype=np.int64))}
+        self._frob = {0: _frozen(np.eye(d))}
         self._trace: Optional[np.ndarray] = None
 
     def scalar_vec(self, c: int) -> np.ndarray:
@@ -95,6 +145,34 @@ class PolyModRing:
     def square(self, A: np.ndarray) -> np.ndarray:
         return self.mul(A, A)
 
+    def mul_matrix(self, a: np.ndarray) -> np.ndarray:
+        """Matrix of z -> a z on coefficient rows (row i holds x^i a), for a
+        reduced 1-D a: its d shifted copies, unreduced, are windows on a
+        padded with zeros, and one product with the reduction rows reduces
+        them all."""
+        d = self.deg
+        z = np.zeros(3 * d - 2, dtype=np.int64)
+        z[d - 1 : 2 * d - 1] = a
+        shifted = sliding_window_view(z, 2 * d - 1)[::-1]
+        return (_matmul(shifted[:, d:], self._red, self.p) + shifted[:, :d]) % self.p
+
+    def powers(self, a: np.ndarray, n: int) -> np.ndarray:
+        """The (n, deg) table of a^j, j < n, for a reduced 1-D a, n >= 1, in
+        doubling blocks: rows s + j are rows j times a^s, one product with
+        mul_matrix(a^s) per block, so log2 n matrices in place of n - 1
+        single-row products."""
+        P = np.zeros((n, self.deg), dtype=np.int64)
+        P[0] = self.scalar_vec(1)
+        if n > 1:
+            P[1] = a
+        s = 2
+        while s < n:
+            b = min(s, n - s)
+            a_s = self.mul(P[s - 1 : s], P[1:2])[0]
+            P[s : s + b] = _matmul(P[:b], self.mul_matrix(a_s), self.p)
+            s += b
+        return P
+
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         """Single-element power (1-D in, 1-D out), e >= 0."""
         r = self.scalar_vec(1)[None, :]
@@ -120,29 +198,32 @@ class PolyModRing:
     def frob_matrix(self, e: int) -> np.ndarray:
         """Matrix of z -> z^(p^e) on coefficient rows (row i holds (x^i)^(p^e)),
         e >= 0.  The exponent is taken as given: only a field has
-        z^(p^deg) = z.  The matrix is the ring's cached one, read-only."""
+        z^(p^deg) = z.  The matrix is the ring's cached one, read-only, and
+        float64, the operand type of _matmul, so that a Frobenius step (f of
+        them per Rabin test) does not convert it.  Row i of frob_matrix(1) is
+        (x^p)^i, a power table."""
         if e not in self._frob:
             if e == 1:
-                xp = self.pow(self.x_vec(), self.p)[None, :]
-                m = np.eye(self.deg, dtype=np.int64)
-                for i in range(1, self.deg):
-                    m[i] = self.mul(m[i - 1 : i], xp)[0]
+                m = self.powers(self.pow(self.x_vec(), self.p), self.deg)
             else:
-                m = self.frob_matrix(e - 1) @ self.frob_matrix(1) % self.p
-            self._frob[e] = _frozen(m)
+                m = _matmul(self.frob_matrix(e - 1), self.frob_matrix(1), self.p)
+            self._frob[e] = _frozen(m.astype(np.float64))
         return self._frob[e]
 
     def frob(self, A: np.ndarray, e: int = 1) -> np.ndarray:
-        return A @ self.frob_matrix(e) % self.p
+        return _matmul(A, self.frob_matrix(e), self.p)
 
     def trace_matrix(self) -> np.ndarray:
         """Matrix of z -> sum of z^(p^k), k < deg, acting on coefficient rows
-        (cached, read-only)."""
+        (cached, read-only).  The sum runs over a running power of
+        frob_matrix(1); the deg - 2 powers between are not kept."""
         if self._trace is None:
-            tr = np.zeros((self.deg, self.deg), dtype=np.int64)
-            for k in range(self.deg):
-                tr = (tr + self.frob_matrix(k)) % self.p
-            self._trace = _frozen(tr)
+            power = np.eye(self.deg, dtype=np.int64)
+            tr = power.copy()
+            for _ in range(self.deg - 1):
+                power = self.frob(power)
+                tr += power
+            self._trace = _frozen(tr % self.p)
         return self._trace
 
 
@@ -155,7 +236,8 @@ class FieldCtx(PolyModRing):
             raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
 
     def _is_irreducible(self) -> bool:
-        """Rabin: x^(p^f) = x and gcd(x^(p^(f/q)) - x, modulus) = 1, q | f prime."""
+        """Rabin: x^(p^f) = x and gcd(x^(p^(f/q)) - x, modulus) = 1, q | f prime.
+        The f Frobenius steps x^(p^k) are vector-matrix products (frob)."""
         f, p = self.deg, self.p
         if f == 1:
             return True

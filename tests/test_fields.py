@@ -1,10 +1,12 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leeperfect import nt, radius2
+from leeperfect import nt, radius2, survey
 from leeperfect.fields import (
     FieldCtx,
     PolyModRing,
@@ -80,6 +82,61 @@ def _unfiltered_modulus(p, f, seed):
 ])
 def test_build_field_root_scan_keeps_the_modulus(p, f, seed):
     assert build_field(p, f, seed=seed).modulus == _unfiltered_modulus(p, f, seed)
+
+
+def _irreducible_count(p, f):
+    """Gauss: (1/f) sum over d | f of mu(d) p^(f/d) monic irreducibles of degree f."""
+    total = 0
+    for d in (d for d in range(1, f + 1) if f % d == 0):
+        exps = nt.factorize(d).as_dict().values()
+        if all(e == 1 for e in exps):
+            total += (-1) ** len(exps) * p ** (f // d)
+    return total // f
+
+
+@pytest.mark.parametrize("p, f", [(2, f) for f in range(1, 9)] + [(3, f) for f in range(1, 6)]
+                         + [(5, f) for f in range(1, 4)])
+def test_rabin_accepts_gauss_count(p, f):
+    accepted = 0
+    for low in itertools.product(range(p), repeat=f):
+        try:
+            FieldCtx(p, list(low) + [1])
+        except ValueError:
+            continue
+        accepted += 1
+    assert accepted == _irreducible_count(p, f)
+
+
+@pytest.fixture(scope="module")
+def field_check_rings():
+    """Every (p, f) that field_check builds in the radius-2 scan of n = 3..1000,
+    from the scan with the field construction recorded and skipped."""
+    built = set()
+
+    def record(p, f, seed):
+        built.add((p, f))
+        raise nt.BudgetExceeded("recorded")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radius2, "_field_ctx", record)
+        survey.scan(2, 3, 1000, early_exit=False, criteria=("field",))
+    return sorted(built)
+
+
+_MODULI_SHA256 = {
+    2024: "e2b46bd2d08a39a3a2fd333b7696d9bfa295577e460e2b1b27bcfb139ad5c4f2",
+    7: "891e4ed080803dd9e897bf7ea99b1e668e0fb9e1ffd1c0062ec710066a8ac83d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_MODULI_SHA256))
+def test_field_check_moduli_pinned(field_check_rings, seed):
+    # the seeded search keeps the first candidate that Rabin's test accepts;
+    # the test is an exact predicate, so any faster form of it must keep
+    # every modulus, at the default Caps.seed and at another seed
+    assert len(field_check_rings) == 135
+    moduli = [[p, f, list(build_field(p, f, seed).modulus)] for p, f in field_check_rings]
+    assert hashlib.sha256(json.dumps(moduli).encode()).hexdigest() == _MODULI_SHA256[seed]
 
 
 @settings(max_examples=200, deadline=None)
@@ -289,6 +346,10 @@ def test_kernel_trace_is_the_frobenius_sum(i):
     total = sum(ring.frob_matrix(k) for k in range(ring.deg)) % ring.p
     assert np.array_equal(ring.trace_matrix(), total)
     assert np.array_equal(ring.frob_matrix(ring.deg), np.eye(ring.deg, dtype=np.int64))
+    # the sum runs over a running power: no Frobenius power past the first stays cached
+    fresh = PolyModRing(ring.p, ring.modulus)
+    assert np.array_equal(fresh.trace_matrix(), total)
+    assert set(fresh._frob) <= {0, 1}
 
 
 def _int64_edge_primes(d):
@@ -324,6 +385,51 @@ def test_kernel_int64_bound(d):
     for a, b, c in zip(A, B, ring.mul(A, B)):
         assert _schoolbook(a.tolist(), b.tolist(), ring.modulus, under) == c.tolist()
         assert np.array_equal(ring.mul(a[None, :], b[None, :])[0], c)
+
+
+def _sb_pow(a, e, modulus, p):
+    """a^e mod (modulus, p) by square-and-multiply over _schoolbook."""
+    r = [1] + [0] * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            r = _schoolbook(r, a, modulus, p)
+        a = _schoolbook(a, a, modulus, p)
+        e >>= 1
+    return r
+
+
+def _sb_power_rows(a, n, modulus, p):
+    """[a^0, ..., a^(n-1)] mod (modulus, p), one _schoolbook product per row."""
+    rows = [[1] + [0] * (len(modulus) - 2)]
+    for _ in range(n - 1):
+        rows.append(_schoolbook(rows[-1], a, modulus, p))
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 40])
+def test_kernel_linear_maps_at_the_int64_bound(d):
+    # the F_p-linear maps (float64 products) against Python integers, at the
+    # largest prime the ring admits; at d = 1 that prime is past the float
+    # bound, and the products stay on int64
+    p = _int64_edge_primes(d)[0]
+    rng = np.random.default_rng(d)
+    ring = PolyModRing(p, [int(c) for c in rng.integers(0, p, d)] + [1])
+    m = ring.modulus
+    a = [int(c) for c in rng.integers(p // 2, p, d)]
+    x_rows = _sb_power_rows(ring.x_vec().tolist(), d, m, p)
+    assert ring.mul_matrix(np.array(a)).tolist() == [_schoolbook(r, a, m, p) for r in x_rows]
+    # 2d + 3 rows: doubling blocks up to one that stops short
+    assert ring.powers(np.array(a), 2 * d + 3).tolist() == _sb_power_rows(a, 2 * d + 3, m, p)
+    F = _sb_power_rows(_sb_pow(ring.x_vec().tolist(), p, m, p), d, m, p)
+    assert ring.frob_matrix(1).tolist() == F
+    assert ring.frob(np.array([a]))[0].tolist() == _sb_pow(a, p, m, p)
+    F = np.array(F, dtype=object)  # Python integers from here on
+    assert ring.frob_matrix(3).tolist() == ((F.dot(F) % p).dot(F) % p).tolist()
+    power = trace = np.eye(d, dtype=int).astype(object)
+    for _ in range(d - 1):
+        power = power.dot(F) % p
+        trace = trace + power
+    assert ring.trace_matrix().tolist() == (trace % p).tolist()
 
 
 def test_kernel_refuses_the_ring_that_wrapped():
