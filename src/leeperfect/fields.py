@@ -14,11 +14,11 @@ product mul and pow stay on int64: their reduce multiplies unreduced
 coefficients, whose sums _fits_int64 bounds only by 2^63.
 
 A FieldCtx is a PolyModRing whose modulus is a monic irreducible polynomial
-over F_p, found by seeded search and certified by Rabin's test.  Its
-elements are rows like any other ring's; exact_order_element draws one of a
-given multiplicative order.  There is no second element model here: the
-scalar FieldElement that the tests compare the kernel with lives in
-tests/theta_reference.py.
+over F_p: build_field draws seeded candidates in batches, drops those with a
+root in F_p in one scan, and keeps the first that Rabin's test accepts.
+exact_order_element draws a row of given multiplicative order (pow takes a
+large exponent in base-p digits when p is small against the degree).  The
+scalar FieldElement that the tests compare with lives in theta_reference.py.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .nt import BudgetExceeded, seeded_rng
 _INT64_MAX = 2**63 - 1
 _FLOAT_EXACT = 2**53  # float64 holds every integer up to here exactly
 _ONE_THREAD = 2**18  # OpenBLAS runs a product of at most this many multiply-adds on one thread
+_SEARCH_BATCH = 16  # build_field's candidates per root scan for p <= 1024 (BENCH_fieldsearch.json)
 
 
 def _fits_int64(p: int, d: int) -> bool:
@@ -100,12 +101,17 @@ class PolyModRing:
         if not _fits_int64(p, d):
             raise ValueError(f"p = {p} at degree {d} overflows int64 products")
         self.modulus = modulus
-        # reduction rows: row k holds x^(d+k) mod modulus, k = 0..d-2
-        rows = [np.array([(-c) % p for c in modulus[:-1]], dtype=np.int64)]
-        for _ in range(d - 2):
-            prev = rows[-1]
-            rows.append((np.concatenate(([0], prev[:-1])) + prev[-1] * rows[0]) % p)
-        self._red = _frozen(np.array(rows[: d - 1], dtype=np.int64).reshape(d - 1, d))
+        # reduction rows: row k holds x^(d+k) mod modulus, k = 0..d-2, by doubling:
+        # rows s + k are rows k shifted by s, their top s coefficients reduced by rows < s
+        red = np.zeros((max(d - 1, 1), d), dtype=np.int64)
+        red[0] = [(-c) % p for c in modulus[:-1]]
+        s = 1
+        while s < d - 1:
+            b = min(s, d - 1 - s)
+            red[s : s + b, s:] = red[:b, : d - s]
+            red[s : s + b] = (red[s : s + b] + _matmul(red[:b, d - s :], red[:s], p)) % p
+            s += b
+        self._red = _frozen(red[: d - 1])
         self._frob = {0: _frozen(np.eye(d))}
         self._trace: Optional[np.ndarray] = None
 
@@ -174,7 +180,14 @@ class PolyModRing:
         return P
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        """Single-element power (1-D in, 1-D out), e >= 0."""
+        """Single-element power (1-D in, 1-D out), e >= 0: in base-p digits when
+        e >= p and the p-row table costs at most the deg log2 p squarings saved."""
+        p = self.p
+        if p <= e and p <= self.deg * p.bit_length():  # at degree 1, p = 2 only
+            return self._pow_digits(a, e)
+        return self._square_multiply(a, e)
+
+    def _square_multiply(self, a: np.ndarray, e: int) -> np.ndarray:
         r = self.scalar_vec(1)[None, :]
         base = a[None, :] % self.p
         while e:
@@ -183,6 +196,18 @@ class PolyModRing:
             base = self.mul(base, base)
             e >>= 1
         return r[0]
+
+    def _pow_digits(self, a: np.ndarray, e: int) -> np.ndarray:
+        """a^e by the base-p digits of e, most significant first: per digit one
+        Frobenius step r -> r^p and one product with a row of powers(a, p)."""
+        digits = []
+        while e:
+            e, digit = divmod(e, self.p)
+            digits.append(digit)
+        table, r = self.powers(a % self.p, self.p), self.scalar_vec(1)
+        for digit in reversed(digits):
+            r = self.mul(self.frob(r)[None, :], table[digit : digit + 1])[0]
+        return r
 
     def inv(self, a: np.ndarray) -> np.ndarray:
         """Inverse of a nonzero element (1-D); the modulus must be irreducible."""
@@ -201,10 +226,10 @@ class PolyModRing:
         z^(p^deg) = z.  The matrix is the ring's cached one, read-only, and
         float64, the operand type of _matmul, so that a Frobenius step (f of
         them per Rabin test) does not convert it.  Row i of frob_matrix(1) is
-        (x^p)^i, a power table."""
+        (x^p)^i, a power table (x^p by square-and-multiply: pow may step by frob)."""
         if e not in self._frob:
             if e == 1:
-                m = self.powers(self.pow(self.x_vec(), self.p), self.deg)
+                m = self.powers(self._square_multiply(self.x_vec(), self.p), self.deg)
             else:
                 m = _matmul(self.frob_matrix(e - 1), self.frob_matrix(1), self.p)
             self._frob[e] = _frozen(m.astype(np.float64))
@@ -239,21 +264,15 @@ class FieldCtx(PolyModRing):
         """Rabin: x^(p^f) = x and gcd(x^(p^(f/q)) - x, modulus) = 1, q | f prime.
         The f Frobenius steps x^(p^k) are vector-matrix products (frob)."""
         f, p = self.deg, self.p
-        if f == 1:
-            return True
         x = self.x_vec()
-        powers = {}
-        cur = x
-        for k in range(1, f + 1):
-            cur = self.frob(cur)
-            powers[k] = cur
+        powers = [x]  # powers[k] = x^(p^k)
+        for _ in range(f):
+            powers.append(self.frob(powers[-1]))
         if not np.array_equal(powers[f], x):
             return False
         modulus = np.array(self.modulus, dtype=np.int64)[:, None]
         for q in nt.factorize(f).primes():
-            diff = (powers[f // q] - x) % p
-            if not diff.any():
-                return False
+            diff = (powers[f // q] - x) % p  # gcd(0, modulus) is the modulus itself
             if len(poly_gcd(prime_field(p), diff[:, None], modulus)) > 1:
                 return False
         return True
@@ -271,14 +290,14 @@ def build_field(p: int, f: int, seed: int = 0) -> FieldCtx:
     if f == 1:
         return FieldCtx(p, (0, 1))
     rng = seeded_rng(seed, "field-modulus", p, f)
-    while True:
-        coeffs = [rng.randrange(p) for _ in range(f)] + [1]
-        if _has_root(coeffs, p):
-            continue  # a root in F_p makes a degree f >= 2 modulus reducible
-        try:
-            return FieldCtx(p, coeffs)
-        except ValueError:
-            continue
+    rows = max(1, min(_SEARCH_BATCH, _SEARCH_BATCH * 1024 // p))  # grid <= max(2^14, p) entries
+    while True:  # candidates in draw order; draws past the accepted one change nothing
+        batch = np.reshape([rng.randrange(p) for _ in range(rows * f)], (-1, f))
+        for low in batch[_root_free(batch, p)]:  # a root in F_p makes a modulus reducible
+            try:
+                return FieldCtx(p, [*low, 1])
+            except ValueError:
+                continue
 
 
 def exact_order_element(ctx: FieldCtx, k: int, rng) -> np.ndarray:
@@ -354,11 +373,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _has_root(coeffs: list[int], p: int) -> bool:
-    """Whether the polynomial (coefficients from the constant term up) has a
-    root in F_p, by Horner over all p points at once."""
+def _root_free(low: np.ndarray, p: int) -> np.ndarray:
+    """Which monic polynomials have no root in F_p, each a row of its low
+    coefficients (constant term first): Horner over the (rows, p) grid."""
     x = np.arange(p, dtype=np.int64)
-    val = np.zeros(p, dtype=np.int64)
-    for c in reversed(coeffs):
-        val = (val * x + c) % p
-    return not val.all()
+    val = np.ones((low.shape[0], p), dtype=np.int64)
+    for c in low.T[::-1]:
+        val *= x
+        val += c[:, None]
+        val %= p
+    return val.all(axis=1)

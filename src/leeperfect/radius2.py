@@ -402,20 +402,18 @@ def _orbit_sum(T: np.ndarray, L: int, p: int) -> np.ndarray:
     splitting S_{a+b}(k) = S_a(k) + S_b(k * 2^a mod N) walks the bits of L:
     each bit doubles a (gather S itself) and a set bit adds one term (gather
     T), so the sum takes at most 2 floor(log2 L) gathers instead of L - 1.
+    One % p at the end suffices: S_L <= L (p - 1), far inside int64.
     """
-    N = T.shape[0]
-    k = np.arange(N, dtype=np.int64)
+    k = np.arange(T.shape[0], dtype=np.int64)
     S = T.copy()
     a = 1
     for bit in bin(L)[3:]:
-        S += S[k * pow(2, a, N) % N]  # S_{2a}(k) = S_a(k) + S_a(k * 2^a)
-        S %= p
+        S += S[k * pow(2, a, len(k)) % len(k)]  # S_{2a}(k) = S_a(k) + S_a(k * 2^a)
         a *= 2
         if bit == "1":
-            S += T[k * pow(2, a, N) % N]  # S_{a+1}(k) = S_a(k) + T[k * 2^a]
-            S %= p
+            S += T[k * pow(2, a, len(k)) % len(k)]  # S_{a+1}(k) = S_a(k) + T[k * 2^a]
             a += 1
-    return S
+    return S % p
 
 
 def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
@@ -545,8 +543,9 @@ def field_check(
     ctx = _field_ctx(p, f, caps.seed)
     w = exact_order_element(ctx, N, nt.seeded_rng(caps.seed, "unity-gen", p, f, N))
     # the lambda-th roots lie in the subfield fixed by Frobenius^l
-    x_gen = ctx.pow(w, N // lam)
-    fixed = ctx.frob(x_gen, lam_cert.l % f)
+    x_gen = fixed = ctx.pow(w, N // lam)
+    for _ in range(lam_cert.l % f):  # single steps: frob(x_gen, e) would cache frob_matrix(e)
+        fixed = ctx.frob(fixed)
     assert np.array_equal(fixed, x_gen), "lambda-th root escaped F_{p^l}"
     residues, in_fp = _theta_tables(ctx, w, N, v, lam_cert.d, mode)
     m = lam_cert.m

@@ -10,7 +10,7 @@ from leeperfect import nt, radius2, survey
 from leeperfect.fields import (
     FieldCtx,
     PolyModRing,
-    _has_root,
+    _root_free,
     build_field,
     exact_order_element,
     poly_divmod,
@@ -142,13 +142,17 @@ def test_field_check_moduli_pinned(field_check_rings, seed):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.data())
 def test_root_scan_rejects_only_reducible_moduli(p, data):
+    # one batch of monic candidates, each row checked against brute force
     f = data.draw(st.integers(2, 8))
-    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)) + [1]
-    has_root = any(sum(c * x**i for i, c in enumerate(coeffs)) % p == 0 for x in range(p))
-    assert _has_root(coeffs, p) == has_root
-    if has_root:
-        with pytest.raises(ValueError):
-            FieldCtx(p, coeffs)
+    low = st.lists(st.integers(0, p - 1), min_size=f, max_size=f)
+    batch = data.draw(st.lists(low, min_size=1, max_size=6))
+    free = _root_free(np.array(batch), p).tolist()
+    for coeffs, root_free in zip((row + [1] for row in batch), free):
+        has_root = any(sum(c * x**i for i, c in enumerate(coeffs)) % p == 0 for x in range(p))
+        assert root_free == (not has_root)
+        if has_root:
+            with pytest.raises(ValueError):
+                FieldCtx(p, coeffs)
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +207,7 @@ def test_frob_is_the_p_power_on_rings_that_are_not_fields(modulus):
     ring = PolyModRing(3, modulus)
     elements = np.array(list(itertools.product(range(3), repeat=ring.deg)), dtype=np.int64)
     for e in range(2 * ring.deg + 1):
-        want = np.array([ring.pow(a, 3**e) for a in elements])
+        want = np.array([ring._square_multiply(a, 3**e) for a in elements])
         assert np.array_equal(ring.frob(elements, e), want), e
 
 
@@ -337,7 +341,58 @@ def test_kernel_frobenius_is_the_p_power(ops, e):
     ring, A, _ = ops
     for a, fa in zip(A, ring.frob(A, e)):
         assert (element(ring, a) ** ring.p**e).coeffs == tuple(fa.tolist())
-        assert np.array_equal(ring.pow(a, ring.p**e), fa)
+        assert np.array_equal(ring._square_multiply(a, ring.p**e), fa)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 7, 229, 631, 3001]), st.sampled_from([1, 2, 3, 80]), st.data())
+def test_reduction_rows_are_the_high_powers_of_x(p, d, data):
+    # the rows built by doubling: row k is x^(d+k), by pow and by long division
+    low = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    ring = PolyModRing(p, low + [1])
+    assert ring._red.shape == (d - 1, d)
+    for k, row in enumerate(ring._red):
+        assert np.array_equal(row, ring.pow(ring.x_vec(), d + k))
+        assert row.tolist() == _schoolbook([0] * (d - 1) + [1], [0] * (k + 1) + [1], low + [1], p)
+
+
+# p = 2, degree 1, p > f, a ring that is not a field, and (631, 67) of field_check
+_POW_RINGS = [build_field(2, 7), build_field(7, 1), build_field(5, 3, seed=1), build_field(13, 2),
+              PolyModRing(3, (1, 0, 2, 1, 1)), build_field(631, 67)]
+
+
+@pytest.mark.parametrize("i", range(len(_POW_RINGS)))
+def test_base_p_power_is_square_and_multiply(i):
+    # both of pow's paths, whichever pow picks, against square-and-multiply
+    ring = _POW_RINGS[i]
+    p, size = ring.p, ring.size
+    rng = nt.seeded_rng(0, "frob-pow", i)
+    a = np.array([rng.randrange(p) for _ in range(ring.deg)], dtype=np.int64)
+    divisors = [k for k in (3, 5, 7, 13, 67, 127) if (size - 1) % k == 0]
+    for e in [0, 1, p, 2 * p, rng.randrange(p) * p, size - 1] + [(size - 1) // k for k in divisors]:
+        want = ring._square_multiply(a, e)
+        assert np.array_equal(ring._pow_digits(a, e), want), e
+        assert np.array_equal(ring.pow(a, e), want), e
+
+
+@pytest.mark.parametrize("p, f", [(2**31 - 1, 1), (1000003, 2), (9973, 3)])
+def test_pow_builds_no_p_row_table_at_large_p(monkeypatch, p, f):
+    # a unity element at a large prime: a table of p rows would need up to
+    # 16 GB here, so powers() may build only small tables
+    ctx = build_field(p, f)
+    small_powers = PolyModRing.powers
+    def powers(self, a, n):
+        assert n <= 1000, n
+        return small_powers(self, a, n)
+    monkeypatch.setattr(PolyModRing, "powers", powers)
+    z = exact_order_element(ctx, 3, nt.seeded_rng(0, "large-p"))
+    assert np.array_equal(ctx._square_multiply(z, 3), ctx.scalar_vec(1))
+    assert not np.array_equal(z, ctx.scalar_vec(1))
+    assert np.array_equal(ctx.pow(z, ctx.size), z)  # an exponent past p, at every degree
+    rng = nt.seeded_rng(0, "large-p")
+    z0 = ctx._square_multiply(np.array([rng.randrange(p) for _ in range(f)]), (ctx.size - 1) // 3)
+    if z0.any() and not np.array_equal(z0, ctx.scalar_vec(1)):  # the first draw is kept
+        assert np.array_equal(z, z0)
 
 
 @pytest.mark.parametrize("i", range(len(_RINGS)))

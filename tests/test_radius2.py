@@ -288,8 +288,14 @@ def _orbit_tables(draw):
     return T, L, p
 
 
+# the gather stride 2^a mod N is 0 from a = log2 N on when N is a power of 2
+# (the gather reads index 0); N = 2 v is even, and its stride never reaches 0
 @settings(max_examples=300, deadline=None)
 @given(_orbit_tables())
+@example((np.arange(8) % 7, 5, 7))
+@example((np.arange(48).reshape(16, 3) % 11, 100, 11))
+@example((np.arange(26) % 5, 13, 5))
+@example((np.arange(150).reshape(50, 3) % 61, 64, 61))
 def test_orbit_sum_matches_linear_reference(case):
     T, L, p = case
     before = T.copy()

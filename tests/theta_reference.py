@@ -57,7 +57,8 @@ class FieldElement:
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
             return self.inv() ** (-e)
-        return element(self.owner, self.owner.pow(self.row(), e))
+        # square-and-multiply: the kernel's pow may step by frob, which this checks
+        return element(self.owner, self.owner._square_multiply(self.row(), e))
 
     def inv(self) -> "FieldElement":
         if not self:
