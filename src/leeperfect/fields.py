@@ -15,7 +15,10 @@ coefficients, whose sums _fits_int64 bounds only by 2^63.
 
 A FieldCtx is a PolyModRing whose modulus is a monic irreducible polynomial
 over F_p: build_field draws seeded candidates in batches, drops those with a
-root in F_p in one scan, and keeps the first that Rabin's test accepts.
+root in F_p in one scan and those with x^(p^f) != x in one Rabin's test
+stacked over the batch (_rabin), and keeps the first of the rest in draw
+order that FieldCtx accepts.  _rabin is the one irreducibility test:
+FieldCtx runs it in full on its own modulus.
 exact_order_element draws a row of given multiplicative order (pow takes a
 large exponent in base-p digits when p is small against the degree).  The
 scalar FieldElement that the tests compare with lives in theta_reference.py.
@@ -35,6 +38,7 @@ _INT64_MAX = 2**63 - 1
 _FLOAT_EXACT = 2**53  # float64 holds every integer up to here exactly
 _ONE_THREAD = 2**18  # OpenBLAS runs a product of at most this many multiply-adds on one thread
 _SEARCH_BATCH = 16  # build_field's candidates per root scan for p <= 1024 (BENCH_fieldsearch.json)
+_RABIN_BUDGET = 2**17  # build_field's rows per _rabin call times f^2 (BENCH_rabinbatch.json)
 
 
 def _fits_int64(p: int, d: int) -> bool:
@@ -43,10 +47,13 @@ def _fits_int64(p: int, d: int) -> bool:
     The shift-add product leaves each of the d - 1 high coefficients below
     (d - 1)(p - 1)^2, unreduced; their product with the reduction rows (entries
     below p) adds (d - 1)^2 (p - 1)^3 to a low coefficient below d (p - 1)^2.
+    _rabin's squares (_square) are such products, one modulus per row.
 
     The F_p-linear maps (_matmul) sum only d products below p^2, and this
     bound keeps those sums below 2^43 < 2^53 for every d >= 2, so their
-    float64 products are exact: (d - 1)^2 (p - 1)^3 < 2^63 gives
+    float64 products are exact, stacked or not (_rabin's reduction rows,
+    Frobenius matrices and steps are such products, one modulus per matrix
+    of the stack): (d - 1)^2 (p - 1)^3 < 2^63 gives
     (p - 1)^2 < 2^42 / (d - 1)^(4/3), and d / (d - 1)^(4/3) falls from 2 at
     d = 2, so d (p - 1)^2 < 2^43.  At d = 1 the bound admits p up to about
     3e9, where (p - 1)^2 passes 2^53; _matmul keeps those products on int64.
@@ -65,25 +72,26 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     Past that (degree-1 rings with p above about 9.5e7) the product stays on
     int64.
 
-    A matrix A is multiplied in row blocks of at most _ONE_THREAD
-    multiply-adds, which OpenBLAS runs on the calling thread: a second BLAS
-    thread spins between calls, which slowed the worker processes of a
-    --threads scan and bought no wall time in one process
-    (BENCH_fieldblas.json).  A vector A (Rabin's steps) is one call: OpenBLAS
-    ran those vector-matrix products on one thread at every degree tried, up
-    to 400.
+    A matrix A, or each matrix of a stack, is multiplied in row blocks of at
+    most _ONE_THREAD multiply-adds, which OpenBLAS runs on the calling
+    thread: a second BLAS thread spins between calls, which slowed the worker
+    processes of a --threads scan and bought no wall time in one process
+    (BENCH_fieldblas.json).  A vector A, or a stack of 1-row matrices
+    (_rabin's steps), is one call: OpenBLAS ran those vector-matrix products
+    on one thread at every degree tried, up to 400.
     """
     dtype = np.float64 if A.shape[-1] * (p - 1) ** 2 <= _FLOAT_EXACT else np.int64
     # contiguous operands: numpy runs a strided view through its own loop, not BLAS
     A = np.ascontiguousarray(A, dtype=dtype)
     B = np.ascontiguousarray(B, dtype=dtype)
-    if A.ndim == 1:
+    step = max(1, _ONE_THREAD // max(1, A.shape[-1] * B.shape[-1]))
+    if A.ndim == 1 or A.shape[-2] <= step:
         R = A @ B
     else:
-        R = np.empty((A.shape[0], B.shape[1]), dtype=dtype)
-        step = max(1, _ONE_THREAD // max(1, A.shape[1] * B.shape[1]))
-        for i in range(0, A.shape[0], step):
-            np.matmul(A[i : i + step], B, out=R[i : i + step])
+        R = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1]),
+                     dtype=dtype)
+        for i in range(0, A.shape[-2], step):
+            np.matmul(A[..., i : i + step, :], B, out=R[..., i : i + step, :])
     R = R.astype(np.int64, copy=False)
     R %= p  # on int64: a float fmod is ten times slower
     return R
@@ -101,17 +109,7 @@ class PolyModRing:
         if not _fits_int64(p, d):
             raise ValueError(f"p = {p} at degree {d} overflows int64 products")
         self.modulus = modulus
-        # reduction rows: row k holds x^(d+k) mod modulus, k = 0..d-2, by doubling:
-        # rows s + k are rows k shifted by s, their top s coefficients reduced by rows < s
-        red = np.zeros((max(d - 1, 1), d), dtype=np.int64)
-        red[0] = [(-c) % p for c in modulus[:-1]]
-        s = 1
-        while s < d - 1:
-            b = min(s, d - 1 - s)
-            red[s : s + b, s:] = red[:b, : d - s]
-            red[s : s + b] = (red[s : s + b] + _matmul(red[:b, d - s :], red[:s], p)) % p
-            s += b
-        self._red = _frozen(red[: d - 1])
+        self._red = _frozen(_reduction_rows(np.array([modulus[:-1]]), p)[0])
         self._frob = {0: _frozen(np.eye(d))}
         self._trace: Optional[np.ndarray] = None
 
@@ -145,8 +143,7 @@ class PolyModRing:
     def reduce(self, conv: np.ndarray) -> np.ndarray:
         """Rows of 2 deg - 1 unreduced product coefficients, reduced mod the
         modulus; the caller keeps the int64 sums in range (_fits_int64)."""
-        d = self.deg
-        return (conv[:, :d] + conv[:, d:] @ self._red) % self.p
+        return _reduce(conv, self._red, self.p)
 
     def square(self, A: np.ndarray) -> np.ndarray:
         return self.mul(A, A)
@@ -224,15 +221,15 @@ class PolyModRing:
         """Matrix of z -> z^(p^e) on coefficient rows (row i holds (x^i)^(p^e)),
         e >= 0.  The exponent is taken as given: only a field has
         z^(p^deg) = z.  The matrix is the ring's cached one, read-only, and
-        float64, the operand type of _matmul, so that a Frobenius step (f of
-        them per Rabin test) does not convert it.  Row i of frob_matrix(1) is
-        (x^p)^i, a power table (x^p by square-and-multiply: pow may step by frob)."""
+        float64, the operand type of _matmul, so that a Frobenius step does
+        not convert it.  frob_matrix(1) is the one-modulus stack of
+        _frob_matrices, which Rabin's test builds for its candidates."""
         if e not in self._frob:
             if e == 1:
-                m = self.powers(self._square_multiply(self.x_vec(), self.p), self.deg)
+                m = _frob_matrices(self._red[None], self.p)[0]
             else:
                 m = _matmul(self.frob_matrix(e - 1), self.frob_matrix(1), self.p)
-            self._frob[e] = _frozen(m.astype(np.float64))
+            self._frob[e] = _frozen(m.astype(np.float64, copy=False))
         return self._frob[e]
 
     def frob(self, A: np.ndarray, e: int = 1) -> np.ndarray:
@@ -261,26 +258,22 @@ class FieldCtx(PolyModRing):
             raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
 
     def _is_irreducible(self) -> bool:
-        """Rabin: x^(p^f) = x and gcd(x^(p^(f/q)) - x, modulus) = 1, q | f prime.
-        The f Frobenius steps x^(p^k) are vector-matrix products (frob)."""
-        f, p = self.deg, self.p
-        x = self.x_vec()
-        powers = [x]  # powers[k] = x^(p^k)
-        for _ in range(f):
-            powers.append(self.frob(powers[-1]))
-        if not np.array_equal(powers[f], x):
-            return False
-        modulus = np.array(self.modulus, dtype=np.int64)[:, None]
-        for q in nt.factorize(f).primes():
-            diff = (powers[f // q] - x) % p  # gcd(0, modulus) is the modulus itself
-            if len(poly_gcd(prime_field(p), diff[:, None], modulus)) > 1:
-                return False
-        return True
+        """Rabin's test (_rabin) on the one row of the modulus, with the
+        ring's own Frobenius matrix, which stays cached for the field."""
+        return bool(_rabin(np.array([self.modulus[:-1]]), self.p, self.frob_matrix(1)[None])[0])
 
 
 def build_field(p: int, f: int, seed: int = 0) -> FieldCtx:
     """Seeded search for an irreducible degree-f modulus; same seed, same field.
-    The degree cap is the caller's (field_check reads Caps.max_field_degree)."""
+    The degree cap is the caller's (field_check reads Caps.max_field_degree).
+
+    Candidates are drawn in batches: one root scan drops those with a root in
+    F_p, and one stacked _rabin call, at most _RABIN_BUDGET // f^2 rows at a
+    time, drops those with x^(p^f) != x.  The rest go to FieldCtx in draw
+    order, whose _rabin decides the gcd condition with the Frobenius matrix
+    the field keeps.  At f <= 3 a root-free candidate is irreducible.  The
+    first accepted row in draw order is the modulus, the one a search of one
+    candidate at a time finds; draws past it change nothing."""
     if not nt.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if f < 1:
@@ -291,13 +284,19 @@ def build_field(p: int, f: int, seed: int = 0) -> FieldCtx:
         return FieldCtx(p, (0, 1))
     rng = seeded_rng(seed, "field-modulus", p, f)
     rows = max(1, min(_SEARCH_BATCH, _SEARCH_BATCH * 1024 // p))  # grid <= max(2^14, p) entries
-    while True:  # candidates in draw order; draws past the accepted one change nothing
+    step = max(1, _RABIN_BUDGET // f**2)
+    while True:
         batch = np.reshape([rng.randrange(p) for _ in range(rows * f)], (-1, f))
-        for low in batch[_root_free(batch, p)]:  # a root in F_p makes a modulus reducible
-            try:
-                return FieldCtx(p, [*low, 1])
-            except ValueError:
-                continue
+        free = batch[_root_free(batch, p)]  # a root in F_p makes a modulus reducible
+        if f <= 3 and len(free):  # without a root, so without a linear factor: irreducible
+            return FieldCtx(p, [*free[0], 1])
+        for i in range(0, len(free), step):
+            chunk = free[i : i + step]
+            for low in chunk[_rabin(chunk, p, gcd=False)]:
+                try:
+                    return FieldCtx(p, [*low, 1])
+                except ValueError:
+                    continue
 
 
 def exact_order_element(ctx: FieldCtx, k: int, rng) -> np.ndarray:
@@ -383,3 +382,113 @@ def _root_free(low: np.ndarray, p: int) -> np.ndarray:
         val += c[:, None]
         val %= p
     return val.all(axis=1)
+
+
+def _reduction_rows(low: np.ndarray, p: int) -> np.ndarray:
+    """The (k, d - 1, d) stack of x^(d + j) mod each of k monic moduli of
+    degree d, j < d - 1, each modulus a row of its low coefficients.  By
+    doubling: rows s + j are rows j shifted by s, their top s coefficients
+    reduced by the rows < s."""
+    k, d = low.shape
+    red = np.zeros((k, max(d - 1, 1), d), dtype=np.int64)
+    red[:, 0] = -low % p
+    s = 1
+    while s < d - 1:
+        b = min(s, d - 1 - s)
+        red[:, s : s + b, s:] = red[:, :b, : d - s]
+        red[:, s : s + b] = (red[:, s : s + b] + _matmul(red[:, :b, d - s :], red[:, :s], p)) % p
+        s += b
+    return red[:, : d - 1]
+
+
+def _reduce(conv: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
+    """Unreduced product rows (..., 2d - 1) reduced by the reduction rows red
+    (..., d - 1, d): one matrix for every row (PolyModRing.reduce), or a
+    stack, one modulus per matrix (_square).  int64: the caller keeps the
+    sums in range (_fits_int64)."""
+    d = red.shape[-1]
+    return (conv[..., :d] + conv[..., d:] @ red) % p
+
+
+def _times_x(A: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
+    """Stacked rows A (k, d) times x: a shift, and the top coefficient times
+    the first reduction row."""
+    R = A[:, -1:] * red[:, 0]
+    R[:, 1:] += A[:, :-1]
+    R %= p
+    return R
+
+
+def _square(A: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
+    """Stacked rows A (k, d) squared, each mod its own modulus: np.convolve
+    per row, as PolyModRing.mul takes one row (build_field's stacks hold at
+    most _SEARCH_BATCH rows), then _reduce by the reduction rows."""
+    return _reduce(np.array([np.convolve(a, a) for a in A])[:, None], red, p)[:, 0]
+
+
+def _frob_matrices(red: np.ndarray, p: int) -> np.ndarray:
+    """The float64 (k, d, d) stack of Frobenius matrices of k moduli of degree
+    d, from their reduction rows red (k, d - 1, d): row i holds
+    (x^p)^i.  x^p is a unit row when p < d, a reduction row when
+    p <= 2d - 2, and a stacked square-and-multiply otherwise.  Row i + 1 is
+    row i times the matrix of z -> x^p z, whose rows x^(p + j) are single
+    shifts (_times_x) of x^p.  At d = 1 the matrix is (1)."""
+    k, _, d = red.shape
+    if d == 1:
+        return np.ones((k, 1, 1))
+    if p < d:
+        xp = np.zeros((k, d), dtype=np.int64)
+        xp[:, p] = 1
+    elif p <= 2 * d - 2:
+        xp = red[:, p - d]
+    else:
+        xp = np.zeros((k, d), dtype=np.int64)
+        xp[:, 1] = 1
+        for bit in bin(p)[3:]:
+            xp = _square(xp, red, p)
+            if bit == "1":
+                xp = _times_x(xp, red, p)
+    M = np.empty((k, d, d))
+    M[:, 0] = xp
+    for j in range(1, d):
+        M[:, j] = xp = _times_x(xp, red, p)
+    Q = np.zeros((k, d, d))
+    Q[:, 0, 0] = 1
+    for i in range(1, d):
+        Q[:, i] = _matmul(Q[:, i - 1 : i], M, p)[:, 0]
+    return Q
+
+
+def _rabin(low: np.ndarray, p: int, Q: Optional[np.ndarray] = None, gcd: bool = True) -> np.ndarray:
+    """Rabin's irreducibility test on k monic polynomials of degree d at once,
+    each a row of its low coefficients (k, d): the mask of those with
+    x^(p^d) = x and gcd(x^(p^(d/q)) - x, m) = 1 for every prime q | d.
+
+    Every step is a stacked product over all k: the reduction rows, the
+    Frobenius matrices Q (_frob_matrices; a FieldCtx passes its own), then
+    steps y -> y Q from y = x^p (row 1 of Q) up to x^(p^d), which keep
+    x^(p^(d/q)).  Only the rows with x^(p^d) = x reach the gcd; with
+    gcd=False the mask is that first condition alone (build_field leaves
+    the gcd to FieldCtx).  Every monic polynomial of degree 1 is
+    irreducible."""
+    k, d = low.shape
+    if d == 1:
+        return np.ones(k, dtype=bool)
+    if Q is None:
+        Q = _frob_matrices(_reduction_rows(low, p), p)
+    x = np.zeros(d, dtype=np.int64)
+    x[1] = 1
+    kept = dict.fromkeys(d // q for q in nt.factorize(d).primes())
+    y = Q[:, 1].astype(np.int64)
+    for j in range(1, d):  # y = x^(p^j)
+        if j in kept:
+            kept[j] = y
+        y = _matmul(y[:, None], Q, p)[:, 0]
+    accepted = (y == x).all(axis=1)
+    if gcd:
+        for i in np.flatnonzero(accepted):
+            modulus = np.append(low[i], 1)[:, None]
+            # gcd(0, modulus) is the modulus itself
+            accepted[i] = all(len(poly_gcd(prime_field(p), ((y_j[i] - x) % p)[:, None], modulus)) == 1
+                              for y_j in kept.values())
+    return accepted

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from leeperfect import nt, radius2, survey
 from leeperfect.fields import (
     FieldCtx,
     PolyModRing,
+    _RABIN_BUDGET,
+    _rabin,
     _root_free,
     build_field,
     exact_order_element,
@@ -105,6 +109,80 @@ def test_rabin_accepts_gauss_count(p, f):
             continue
         accepted += 1
     assert accepted == _irreducible_count(p, f)
+
+
+def _has_monic_factor(p, coeffs):
+    """Whether some monic polynomial of degree 1..d/2 divides the monic coeffs
+    (constant term first), by division; the irreducible ones suffice."""
+    d = len(coeffs) - 1
+    return any(not _sb_divmod(coeffs, g, p)[1] for k in range(1, d // 2 + 1) for g in _irreducibles(p, k))
+
+
+@functools.lru_cache(maxsize=None)
+def _irreducibles(p, d):
+    """Every monic irreducible of degree d (enumeration, for small p^d)."""
+    return [[*low, 1] for low in itertools.product(range(p), repeat=d)
+            if not _has_monic_factor(p, [*low, 1])]
+
+
+def _next_irreducible(p, low):
+    """The first monic irreducible from low on, counting low in base p."""
+    code = sum(c * p**i for i, c in enumerate(low))
+    while True:
+        coeffs = [code // p**i % p for i in range(len(low))] + [1]
+        if not _has_monic_factor(p, coeffs):
+            return coeffs
+        code = (code + 1) % p ** len(low)
+
+
+def _x_to_the_p_to_the_degree_is_x(p, coeffs):
+    ring = PolyModRing(p, coeffs)
+    # square-and-multiply: pow may step by frob, whose matrix is the code under test
+    return np.array_equal(ring._square_multiply(ring.x_vec(), p ** ring.deg), ring.x_vec())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.data())
+def test_rabin_matches_a_brute_force_factor_search(p, d, data):
+    row = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    rows = data.draw(st.lists(row, max_size=6))
+    planted = [_next_irreducible(p, data.draw(row))]
+    if d % 2 == 0:
+        # g h passes x^(p^d) = x and fails only the gcd; g^2 fails x^(p^d) = x
+        g, *others = data.draw(st.permutations(_irreducibles(p, d // 2)))
+        square = (np.convolve(g, g) % p).tolist()
+        assert not _x_to_the_p_to_the_degree_is_x(p, square)
+        planted.append(square)
+        if others:  # over F_2 there is one irreducible quadratic
+            product = (np.convolve(g, others[0]) % p).tolist()
+            assert _x_to_the_p_to_the_degree_is_x(p, product)
+            planted.append(product)
+    for m in planted:  # at drawn positions of the batch
+        rows.insert(data.draw(st.integers(0, len(rows))), m[:-1])
+    low = np.array(rows, dtype=np.int64).reshape(-1, d)
+    mask = _rabin(low, p)
+    assert mask.dtype == bool
+    assert mask.tolist() == [not _has_monic_factor(p, [*m, 1]) for m in rows]
+    # gcd=False: the first condition alone, x^(p^d) = x
+    assert _rabin(low, p, gcd=False).tolist() == [_x_to_the_p_to_the_degree_is_x(p, [*m, 1]) for m in rows]
+
+
+def test_build_field_bounds_the_rabin_working_set():
+    # _rabin keeps about 24 f^2 bytes per row; at degree 200 build_field
+    # passes it at most _RABIN_BUDGET // f^2 = 3 rows, not a batch's 7
+    # root-free candidates at once (6.8 MB traced)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert build_field(3, 200).deg == 200
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 32 * _RABIN_BUDGET, peak
 
 
 @pytest.fixture(scope="module")

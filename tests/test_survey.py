@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import re
 import shlex
@@ -220,6 +221,23 @@ def test_cli_check_and_exit_codes():
 
     res = _run_cli("scan", "--r", "2", "--from", "3", "--to", "6", "--format", "csv")
     assert res.returncode == 0 and len(res.stdout.splitlines()) == 5
+
+
+# sha256 of the stdout of the two end-to-end scans of the report bytes (radius 2,
+# 3..100 as JSON and 101..500 as text), which every field-layer change keeps
+_CLI_REPORT_SHA256 = {
+    "scan --r 2 --from 3 --to 100 --no-early-exit --format json":
+        "b5a4545354d3c7c14ef5a77408e7cbe7e78cc02818162c93b62aeec40779a5e9",
+    "scan --r 2 --from 101 --to 500 --no-early-exit":
+        "2270ec768dfdff851f54229c3f45427d625f27e7fd98f83276725d9f3ec70928",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_REPORT_SHA256))
+def test_cli_scan_report_bytes_pinned(command):
+    res = _run_cli(*command.split())
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == _CLI_REPORT_SHA256[command]
 
 
 def test_cli_empty_caps_file_means_defaults():
