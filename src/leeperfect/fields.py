@@ -6,6 +6,9 @@ and multiplication, Frobenius and trace as precomputed F_p-linear maps (d x d
 matrices), which keeps the per-element cost of the character-orbit
 evaluations low even at degree 70.  Both the theta tables over F_{p^f} and
 the orbit searches in F_p[y]/Psi_v (orbitfield.CosineField) run on it.
+powers builds the (n, d) table of a^j; powers_dot takes only the products
+a^j . t with one column t, by baby-step/giant-step on sqrt(n) rows, so the
+trace-mode theta values (one trace column) build no table.
 
 The F_p-linear maps (multiplication matrices, the power tables, Frobenius
 and its powers, the trace) run as float64 BLAS products (_matmul): every
@@ -26,6 +29,7 @@ scalar FieldElement that the tests compare with lives in theta_reference.py.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional
 
 import numpy as np
@@ -47,7 +51,7 @@ def _fits_int64(p: int, d: int) -> bool:
     The shift-add product leaves each of the d - 1 high coefficients below
     (d - 1)(p - 1)^2, unreduced; their product with the reduction rows (entries
     below p) adds (d - 1)^2 (p - 1)^3 to a low coefficient below d (p - 1)^2.
-    _rabin's squares (_square) are such products, one modulus per row.
+    _rabin's products (_mul_rows) are such products, one modulus per row.
 
     The F_p-linear maps (_matmul) sum only d products below p^2, and this
     bound keeps those sums below 2^43 < 2^53 for every d >= 2, so their
@@ -176,6 +180,29 @@ class PolyModRing:
             s += b
         return P
 
+    def powers_dot(self, a: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
+        """The n-vector of a^j . t mod p, j < n, for a reduced 1-D a, n >= 1,
+        and a column t of length deg, without the (n, deg) table of powers.
+
+        Baby-step/giant-step: with B = ceil(sqrt n) and j = q B + r, a^j . t
+        is a^r . u_q, u_q = mul_matrix(a^(qB)) t.  The giant steps u_q are
+        built by doubling like powers: u_(s+q) = mul_matrix(a^(sB)) u_q, since
+        multiplication matrices commute.  One (B, deg) x (deg, G) product
+        then holds every value, q-major.  n deg + sqrt(n) deg^2 work, and
+        O(n + sqrt(n) deg) memory in place of powers' O(n deg)."""
+        B = math.isqrt(n - 1) + 1
+        G = -(-n // B)
+        baby = self.powers(a, B + 1)
+        U = np.empty((G, self.deg), dtype=np.int64)
+        U[0] = t
+        giant, s = baby[B], 1  # giant = a^(sB); s doubles until the last block
+        while s < G:
+            b = min(s, G - s)
+            U[s : s + b] = _matmul(U[:b], self.mul_matrix(giant).T, self.p)
+            giant = self.mul(giant[None], giant[None])[0]
+            s += b
+        return _matmul(baby[:B], U.T, self.p).T.reshape(-1)[:n]
+
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         """Single-element power (1-D in, 1-D out), e >= 0: in base-p digits when
         e >= p and the p-row table costs at most the deg log2 p squarings saved."""
@@ -259,8 +286,10 @@ class FieldCtx(PolyModRing):
 
     def _is_irreducible(self) -> bool:
         """Rabin's test (_rabin) on the one row of the modulus, with the
-        ring's own Frobenius matrix, which stays cached for the field."""
-        return bool(_rabin(np.array([self.modulus[:-1]]), self.p, self.frob_matrix(1)[None])[0])
+        ring's own reduction rows and Frobenius matrix, which stays cached
+        for the field."""
+        low = np.array([self.modulus[:-1]])
+        return bool(_rabin(low, self.p, self._red[None], self.frob_matrix(1)[None])[0])
 
 
 def build_field(p: int, f: int, seed: int = 0) -> FieldCtx:
@@ -404,7 +433,7 @@ def _reduction_rows(low: np.ndarray, p: int) -> np.ndarray:
 def _reduce(conv: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
     """Unreduced product rows (..., 2d - 1) reduced by the reduction rows red
     (..., d - 1, d): one matrix for every row (PolyModRing.reduce), or a
-    stack, one modulus per matrix (_square).  int64: the caller keeps the
+    stack, one modulus per matrix (_mul_rows).  int64: the caller keeps the
     sums in range (_fits_int64)."""
     d = red.shape[-1]
     return (conv[..., :d] + conv[..., d:] @ red) % p
@@ -419,11 +448,12 @@ def _times_x(A: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
     return R
 
 
-def _square(A: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
-    """Stacked rows A (k, d) squared, each mod its own modulus: np.convolve
-    per row, as PolyModRing.mul takes one row (build_field's stacks hold at
-    most _SEARCH_BATCH rows), then _reduce by the reduction rows."""
-    return _reduce(np.array([np.convolve(a, a) for a in A])[:, None], red, p)[:, 0]
+def _mul_rows(A: np.ndarray, B: np.ndarray, red: np.ndarray, p: int) -> np.ndarray:
+    """Stacked rows A times rows B (k, d), each mod its own modulus:
+    np.convolve per row, as PolyModRing.mul takes one row (build_field's
+    stacks hold at most _SEARCH_BATCH rows), then _reduce by the reduction
+    rows."""
+    return _reduce(np.array([np.convolve(a, b) for a, b in zip(A, B)])[:, None], red, p)[:, 0]
 
 
 def _frob_matrices(red: np.ndarray, p: int) -> np.ndarray:
@@ -445,7 +475,7 @@ def _frob_matrices(red: np.ndarray, p: int) -> np.ndarray:
         xp = np.zeros((k, d), dtype=np.int64)
         xp[:, 1] = 1
         for bit in bin(p)[3:]:
-            xp = _square(xp, red, p)
+            xp = _mul_rows(xp, xp, red, p)
             if bit == "1":
                 xp = _times_x(xp, red, p)
     M = np.empty((k, d, d))
@@ -459,23 +489,28 @@ def _frob_matrices(red: np.ndarray, p: int) -> np.ndarray:
     return Q
 
 
-def _rabin(low: np.ndarray, p: int, Q: Optional[np.ndarray] = None, gcd: bool = True) -> np.ndarray:
+def _rabin(low: np.ndarray, p: int, red: Optional[np.ndarray] = None, Q: Optional[np.ndarray] = None,
+           gcd: bool = True) -> np.ndarray:
     """Rabin's irreducibility test on k monic polynomials of degree d at once,
     each a row of its low coefficients (k, d): the mask of those with
     x^(p^d) = x and gcd(x^(p^(d/q)) - x, m) = 1 for every prime q | d.
 
-    Every step is a stacked product over all k: the reduction rows, the
-    Frobenius matrices Q (_frob_matrices; a FieldCtx passes its own), then
-    steps y -> y Q from y = x^p (row 1 of Q) up to x^(p^d), which keep
-    x^(p^(d/q)).  Only the rows with x^(p^d) = x reach the gcd; with
-    gcd=False the mask is that first condition alone (build_field leaves
-    the gcd to FieldCtx).  Every monic polynomial of degree 1 is
-    irreducible."""
+    Every step is a stacked product over all k: the reduction rows red, the
+    Frobenius matrices Q (_frob_matrices; a FieldCtx passes its own of
+    both), then steps y -> y Q from y = x^p (row 1 of Q) up to x^(p^d),
+    which keep x^(p^(d/q)).  Only the rows with x^(p^d) = x reach the gcd
+    condition, which takes one gcd per row: of m and the product, mod m, of
+    the x^(p^(d/q)) - x, since gcd(a b mod m, m) = 1 iff gcd(a, m) =
+    gcd(b, m) = 1.  With gcd=False the mask is the first condition alone
+    (build_field leaves the gcd to FieldCtx).  Every monic polynomial of
+    degree 1 is irreducible."""
     k, d = low.shape
     if d == 1:
         return np.ones(k, dtype=bool)
+    if red is None:
+        red = _reduction_rows(low, p)
     if Q is None:
-        Q = _frob_matrices(_reduction_rows(low, p), p)
+        Q = _frob_matrices(red, p)
     x = np.zeros(d, dtype=np.int64)
     x[1] = 1
     kept = dict.fromkeys(d // q for q in nt.factorize(d).primes())
@@ -485,10 +520,13 @@ def _rabin(low: np.ndarray, p: int, Q: Optional[np.ndarray] = None, gcd: bool = 
             kept[j] = y
         y = _matmul(y[:, None], Q, p)[:, 0]
     accepted = (y == x).all(axis=1)
-    if gcd:
-        for i in np.flatnonzero(accepted):
+    if gcd and accepted.any():
+        rows = np.flatnonzero(accepted)
+        product, *rest = ((y_j[rows] - x) % p for y_j in kept.values())
+        for factor in rest:
+            product = _mul_rows(product, factor, red[rows], p)
+        for i, row in zip(rows, product):
             modulus = np.append(low[i], 1)[:, None]
             # gcd(0, modulus) is the modulus itself
-            accepted[i] = all(len(poly_gcd(prime_field(p), ((y_j[i] - x) % p)[:, None], modulus)) == 1
-                              for y_j in kept.values())
+            accepted[i] = len(poly_gcd(prime_field(p), row[:, None], modulus)) == 1
     return accepted

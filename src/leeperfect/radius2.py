@@ -39,7 +39,7 @@ import numpy as np
 
 from . import nt
 from .fields import (
-    PolyModRing, _fits_int64, _matmul, build_field, exact_order_element, poly_gcd, prime_field,
+    PolyModRing, _fits_int64, build_field, exact_order_element, poly_gcd, prime_field,
 )
 from .geometry import group_order_r2
 from .nt import BudgetExceeded
@@ -421,28 +421,28 @@ def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
 
     x and y are both powers of the order-N element w, a coefficient row of
     ctx (N = lcm(lambda, v)), so theta(x, y) only depends on the w-exponent
-    of x*y.  The (N, f) power table W[j] = w^j is built in doubling blocks
-    (PolyModRing.powers), W[size + j] = W[j] @ M, where M is the F_p-linear
-    matrix of multiplication by w^size: one exact float64 BLAS product per
-    block.  Each theta value is then an orbit sum over the doubling orbit
-    k * 2^i mod N, of L = v - 1 rows of W (power sum) or of L = d entries of
-    the trace column (trace), taken by binary splitting in O(log L) gathers.
-    In trace mode only column 0 of the trace matrix is multiplied: on a
-    field every trace lies in F_p, which one check of the matrix confirms.
-    Afterwards each (x, y) pair is a single lookup.
+    of x*y.  Each theta value is an orbit sum over the doubling orbit
+    k * 2^i mod N, of L = v - 1 powers w^j (power sum) or of L = d traces
+    Tr(w^j) (trace), taken by binary splitting in O(log L) gathers.
+    Power-sum mode sums whole rows of the (N, f) table W[j] = w^j, built in
+    doubling blocks (PolyModRing.powers): one exact float64 BLAS product
+    with the multiplication matrix of w^size per block.  Trace mode needs
+    only the N scalars Tr(w^j) = w^j . T[:, 0]: on a field every trace lies
+    in F_p, which one check of the trace matrix T confirms, and
+    PolyModRing.powers_dot takes them by baby-step/giant-step without the
+    table.  Afterwards each (x, y) pair is a single lookup.
     Returns (residues, in_fp) as N-vectors, in_fp marking the values in F_p.
     """
     f, p = ctx.deg, ctx.p
-    W = ctx.powers(w, N)
     if mode == "power_sum":
-        acc = _orbit_sum(W, v - 1, p)
+        acc = _orbit_sum(ctx.powers(w, N), v - 1, p)
         residues = acc[:, 0]
         in_fp = ~acc[:, 1:].any(axis=1) if f > 1 else np.ones(N, dtype=bool)
         return residues, in_fp
     if mode == "trace":
         T = ctx.trace_matrix()
         assert not T[:, 1:].any(), "trace left the prime subfield"
-        return _orbit_sum(_matmul(W, T[:, :1], p)[:, 0], d, p), np.ones(N, dtype=bool)
+        return _orbit_sum(ctx.powers_dot(w, N, T[:, 0]), d, p), np.ones(N, dtype=bool)
     raise ValueError(f"unknown theta mode {mode!r}")
 
 

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -209,6 +208,9 @@ def scan(
     facs = factor_orders(r, lo, to, caps.factor_budget, caps.seed)
     jobs = [(n, r, caps, early_exit, sel, fac) for n, fac in zip(range(lo, to + 1), facs)]
     if caps.thread_count > 1:
+        # imported here: the pool machinery costs every import of the package
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=caps.thread_count) as pool:
             return list(pool.map(_scan_one, jobs, chunksize=16))
     return [_scan_one(j) for j in jobs]

@@ -13,6 +13,7 @@ from leeperfect.fields import (
     FieldCtx,
     PolyModRing,
     _RABIN_BUDGET,
+    _matmul,
     _rabin,
     _root_free,
     build_field,
@@ -157,6 +158,14 @@ def test_rabin_matches_a_brute_force_factor_search(p, d, data):
             product = (np.convolve(g, others[0]) % p).tolist()
             assert _x_to_the_p_to_the_degree_is_x(p, product)
             planted.append(product)
+    if d == 6 and p >= 3:
+        # three distinct irreducible quadratics: x^(p^6) = x holds, and of the
+        # gcds only the one with x^(p^2) - x (q = 3) is not 1, so the product
+        # of the x^(p^(d/q)) - x must keep that factor
+        g, h, k = data.draw(st.permutations(_irreducibles(p, 2)))[:3]
+        product = (np.convolve(np.convolve(g, h), k) % p).tolist()
+        assert _x_to_the_p_to_the_degree_is_x(p, product)
+        planted.append(product)
     for m in planted:  # at drawn positions of the batch
         rows.insert(data.draw(st.integers(0, len(rows))), m[:-1])
     low = np.array(rows, dtype=np.int64).reshape(-1, d)
@@ -563,6 +572,29 @@ def test_kernel_linear_maps_at_the_int64_bound(d):
         power = power.dot(F) % p
         trace = trace + power
     assert ring.trace_matrix().tolist() == (trace % p).tolist()
+
+
+@st.composite
+def _powers_dot_cases(draw):
+    d = draw(st.one_of(st.integers(1, 12), st.integers(40, 80)))
+    p = draw(st.sampled_from([2, 3, 229, _int64_edge_primes(d)[0]]))
+    # any modulus and any row: the ring need not be a field, nor a unit
+    coeffs = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    ring = PolyModRing(p, draw(coeffs) + [1])
+    a, t = (np.array(draw(coeffs), dtype=np.int64) for _ in range(2))
+    # perfect squares and their neighbours split into whole blocks and not
+    square = st.integers(1, 44).flatmap(lambda r: st.sampled_from([r * r - 1, r * r, r * r + 1]))
+    n = draw(st.one_of(st.integers(1, 2000), square.filter(lambda n: n >= 1)))
+    return ring, a, n, t
+
+
+@settings(max_examples=100, deadline=None)
+@given(_powers_dot_cases())
+def test_powers_dot_is_the_power_table_times_the_column(case):
+    ring, a, n, t = case
+    got = ring.powers_dot(a, n, t)
+    assert got.dtype == np.int64 and got.shape == (n,)
+    assert np.array_equal(got, _matmul(ring.powers(a, n), t[:, None], ring.p)[:, 0])
 
 
 def test_kernel_refuses_the_ring_that_wrapped():

@@ -71,3 +71,17 @@ def test_no_unused_imports():
     assert SOURCES
     unused = [entry for path in SOURCES for entry in _unused_imports(path)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_package_import_leaves_the_process_pool_unloaded():
+    # survey.scan imports its process pool only for thread_count > 1: the
+    # pool machinery would cost every import of the package time and memory
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import leeperfect, leeperfect.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

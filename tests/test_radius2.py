@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from leeperfect import nt, radius2, survey
-from leeperfect.fields import exact_order_element
+from leeperfect.fields import PolyModRing, exact_order_element
 from leeperfect.geometry import group_order_r2
 from leeperfect.orbitfield import CosineField
 from leeperfect.outcomes import Caps, DEFAULT_CAPS, Status, Tier
@@ -356,6 +356,25 @@ _FIELD_CERT_SHA256 = {
 @pytest.mark.parametrize("n, v, p", sorted(_FIELD_CERT_SHA256))
 def test_field_check_certificate_pinned(n, v, p):
     assert _cert_sha256(radius2.field_check(n, v, p)) == _FIELD_CERT_SHA256[n, v, p]
+
+
+def test_trace_mode_builds_no_power_table(monkeypatch):
+    # n = 687 is trace mode at N = 20263, f = 80: its theta values need the
+    # traces of w^j only, so powers() builds the sqrt(N) baby steps and no
+    # (N, f) table; the other table it may build is pow's base-p digit
+    # table of p rows
+    N = 20263
+    small_powers = PolyModRing.powers
+    asked = []
+    def powers(self, a, n):
+        assert n <= math.isqrt(N) + 2 or n == self.p, n
+        asked.append(n)
+        return small_powers(self, a, n)
+    monkeypatch.setattr(PolyModRing, "powers", powers)
+    out = radius2.field_check(687, 881, 229)
+    assert (out.certificate["mode"], out.certificate["unity_order"]) == ("trace", N)
+    assert math.isqrt(N) + 2 in asked
+    assert _cert_sha256(out) == _FIELD_CERT_SHA256[687, 881, 229]
 
 
 def test_every_field_outcome_to_500_pinned():
