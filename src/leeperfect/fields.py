@@ -6,15 +6,19 @@ and multiplication, Frobenius and trace as precomputed F_p-linear maps (d x d
 matrices), which keeps the per-element cost of the character-orbit
 evaluations low even at degree 70.  Both the theta tables over F_{p^f} and
 the orbit searches in F_p[y]/Psi_v (orbitfield.CosineField) run on it.
-powers builds the (n, d) table of a^j; powers_dot takes only the products
-a^j . t with one column t, by baby-step/giant-step on sqrt(n) rows, so the
-trace-mode theta values (one trace column) build no table.
+powers builds the (n, d) table of a^j, each doubling block written into
+its own rows; powers_dot takes only the products a^j . t with one column
+t, by baby-step/giant-step on sqrt(n) rows, so the trace-mode theta values
+(one trace column) build no table.
 
 The F_p-linear maps (multiplication matrices, the power tables, Frobenius
 and its powers, the trace) run as float64 BLAS products (_matmul): every
-partial sum is an integer below 2^53, so they are exact.  The shift-add
-product mul and pow stay on int64: their reduce multiplies unreduced
-coefficients, whose sums _fits_int64 bounds only by 2^63.
+partial sum is an integer below 2^53, so they are exact.  _matmul converts,
+multiplies and reduces one row block at a time into its int64 result, so a
+product costs its result's bytes and one block's, not a float64 copy of
+each operand and of the product beside it.  The shift-add product mul and
+pow stay on int64: their reduce multiplies unreduced coefficients, whose
+sums _fits_int64 bounds only by 2^63.
 
 A FieldCtx is a PolyModRing whose modulus is a monic irreducible polynomial
 over F_p: build_field draws seeded candidates in batches, drops those with a
@@ -65,9 +69,10 @@ def _fits_int64(p: int, d: int) -> bool:
     return d * (p - 1) ** 2 + (d - 1) ** 2 * (p - 1) ** 3 <= _INT64_MAX
 
 
-def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+def _matmul(A: np.ndarray, B: np.ndarray, p: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(A @ B) mod p as int64, for int64 or float64 operands holding integers
-    in [0, p).
+    in [0, p); written into out (int64, of the product's shape, not
+    overlapping A) when given, and returned.
 
     Each entry sums k = A.shape[-1] products below (p - 1)^2.  While that
     stays below 2^53 (every ring of degree >= 2, see _fits_int64), every
@@ -80,25 +85,34 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     most _ONE_THREAD multiply-adds, which OpenBLAS runs on the calling
     thread: a second BLAS thread spins between calls, which slowed the worker
     processes of a --threads scan and bought no wall time in one process
-    (BENCH_fieldblas.json).  A vector A, or a stack of 1-row matrices
-    (_rabin's steps), is one call: OpenBLAS ran those vector-matrix products
-    on one thread at every degree tried, up to 400.
+    (BENCH_fieldblas.json).  Each block of A is converted to the product's
+    type on its own, and its product is cast and reduced straight into its
+    rows of the int64 result, so no converted copy of A and no full float64
+    product sit beside the result (BENCH_thetaclasses.json).  A vector A, or
+    a stack of 1-row matrices (_rabin's steps), is one block: OpenBLAS ran
+    those vector-matrix products on one thread at every degree tried, up to
+    400.
     """
     dtype = np.float64 if A.shape[-1] * (p - 1) ** 2 <= _FLOAT_EXACT else np.int64
     # contiguous operands: numpy runs a strided view through its own loop, not BLAS
-    A = np.ascontiguousarray(A, dtype=dtype)
     B = np.ascontiguousarray(B, dtype=dtype)
     step = max(1, _ONE_THREAD // max(1, A.shape[-1] * B.shape[-1]))
     if A.ndim == 1 or A.shape[-2] <= step:
-        R = A @ B
-    else:
-        R = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1]),
-                     dtype=dtype)
-        for i in range(0, A.shape[-2], step):
-            np.matmul(A[..., i : i + step, :], B, out=R[..., i : i + step, :])
-    R = R.astype(np.int64, copy=False)
-    R %= p  # on int64: a float fmod is ten times slower
-    return R
+        R = np.ascontiguousarray(A, dtype=dtype) @ B
+        if out is None:
+            out = R.astype(np.int64, copy=False)
+        else:
+            out[...] = R
+        out %= p  # on int64: a float fmod is ten times slower
+        return out
+    if out is None:
+        out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1]),
+                       dtype=np.int64)
+    for i in range(0, A.shape[-2], step):
+        block = out[..., i : i + step, :]
+        block[...] = np.ascontiguousarray(A[..., i : i + step, :], dtype=dtype) @ B
+        block %= p
+    return out
 
 
 class PolyModRing:
@@ -167,7 +181,8 @@ class PolyModRing:
         """The (n, deg) table of a^j, j < n, for a reduced 1-D a, n >= 1, in
         doubling blocks: rows s + j are rows j times a^s, one product with
         mul_matrix(a^s) per block, so log2 n matrices in place of n - 1
-        single-row products."""
+        single-row products.  _matmul writes each block into its rows of
+        the table, so the table is the only (n, deg) array built."""
         P = np.zeros((n, self.deg), dtype=np.int64)
         P[0] = self.scalar_vec(1)
         if n > 1:
@@ -176,7 +191,7 @@ class PolyModRing:
         while s < n:
             b = min(s, n - s)
             a_s = self.mul(P[s - 1 : s], P[1:2])[0]
-            P[s : s + b] = _matmul(P[:b], self.mul_matrix(a_s), self.p)
+            _matmul(P[:b], self.mul_matrix(a_s), self.p, out=P[s : s + b])
             s += b
         return P
 
@@ -198,7 +213,7 @@ class PolyModRing:
         giant, s = baby[B], 1  # giant = a^(sB); s doubles until the last block
         while s < G:
             b = min(s, G - s)
-            U[s : s + b] = _matmul(U[:b], self.mul_matrix(giant).T, self.p)
+            _matmul(U[:b], self.mul_matrix(giant).T, self.p, out=U[s : s + b])
             giant = self.mul(giant[None], giant[None])[0]
             s += b
         return _matmul(baby[:B], U.T, self.p).T.reshape(-1)[:n]

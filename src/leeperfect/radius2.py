@@ -395,23 +395,71 @@ def _field_ctx(p: int, f: int, seed: int):
     return build_field(p, f, seed=seed)
 
 
+def _doubling_classes(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of k -> 2k on Z/N, for 2^L = 1 (mod N): the N-vector cls
+    of each k's orbit, numbered 0, 1, ... in the order of their least
+    elements, and the vector mult of L / |orbit| per orbit.
+
+    The orbit minimum label(k) is the least k 2^i: after t steps label(k)
+    is the least over i < 2^t, and one step takes label(k) =
+    min(label(k), label(k 2^(2^t))), a gather through the permutation
+    k -> k 2^(2^t), which squares itself (one more gather) for the next
+    step.  An orbit has |orbit| | L elements, so ceil(log2 L) steps reach
+    every one.
+    """
+    k = np.arange(N, dtype=np.int64)
+    label, step = k.copy(), k * 2 % N
+    a = 1
+    while a < L:
+        np.minimum(label, label[step], out=label)
+        a *= 2
+        if a < L:
+            step = step[step]
+    number = np.cumsum(label == k) - 1  # the orbits' numbers, at their minima
+    cls = number[label]
+    return cls, L // np.bincount(cls)
+
+
+def _class_sum(col: np.ndarray, cls: np.ndarray, mult: np.ndarray, p: int) -> np.ndarray:
+    """mult times the sum of col over each orbit of _doubling_classes, mod p:
+    the orbit sum S(k) of every k of the orbit, one value per orbit.  An
+    exact int64 sum, below N (p - 1) per orbit."""
+    S = np.zeros(len(mult), dtype=np.int64)
+    np.add.at(S, cls, col)
+    return S % p * mult % p
+
+
 def _orbit_sum(T: np.ndarray, L: int, p: int) -> np.ndarray:
     """S(k) = sum of T[k * 2^i mod N] over i < L, mod p, for every k < N.
 
-    T is an (N,) or (N, f) table with entries in [0, p), L >= 1.  Binary
-    splitting S_{a+b}(k) = S_a(k) + S_b(k * 2^a mod N) walks the bits of L:
-    each bit doubles a (gather S itself) and a set bit adds one term (gather
-    T), so the sum takes at most 2 floor(log2 L) gathers instead of L - 1.
-    One % p at the end suffices: S_L <= L (p - 1), far inside int64.
+    T is an (N,) or (N, f) table with entries in [0, p), L >= 1.  When
+    2^L = 1 (mod N), the sequence k 2^i runs round the orbit of k under
+    doubling, |orbit| | L times, so S(k) = (L / |orbit|) times the orbit's
+    sum: one label vector (_doubling_classes), one exact class sum per
+    column (_class_sum) and one gather per column read S back; theta's
+    power-sum mode always has it, as lambda | 2^(v-1) - 1 (_theta_tables).
+    Otherwise binary splitting S_{a+b}(k) = S_a(k) + S_b(k * 2^a mod N)
+    walks the bits of L: each bit doubles a (gather S itself) and a set bit
+    adds one term (gather T), so the sum takes at most 2 floor(log2 L)
+    gathers instead of L - 1.  One % p at the end suffices: S_L <= L (p - 1),
+    far inside int64.  At N = 1, pow(2, L, 1) is 0, and binary splitting
+    sums L copies of T[0].
     """
-    k = np.arange(T.shape[0], dtype=np.int64)
+    N = T.shape[0]
+    if pow(2, L, N) == 1:
+        cls, mult = _doubling_classes(N, L)
+        S = np.empty(T.shape, dtype=np.int64)
+        for out, col in zip(S.reshape(N, -1).T, T.reshape(N, -1).T):
+            out[:] = _class_sum(col, cls, mult, p)[cls]
+        return S
+    k = np.arange(N, dtype=np.int64)
     S = T.copy()
     a = 1
     for bit in bin(L)[3:]:
-        S += S[k * pow(2, a, len(k)) % len(k)]  # S_{2a}(k) = S_a(k) + S_a(k * 2^a)
+        S += S[k * pow(2, a, N) % N]  # S_{2a}(k) = S_a(k) + S_a(k * 2^a)
         a *= 2
         if bit == "1":
-            S += T[k * pow(2, a, len(k)) % len(k)]  # S_{a+1}(k) = S_a(k) + T[k * 2^a]
+            S += T[k * pow(2, a, N) % N]  # S_{a+1}(k) = S_a(k) + T[k * 2^a]
             a += 1
     return S % p
 
@@ -423,22 +471,37 @@ def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
     ctx (N = lcm(lambda, v)), so theta(x, y) only depends on the w-exponent
     of x*y.  Each theta value is an orbit sum over the doubling orbit
     k * 2^i mod N, of L = v - 1 powers w^j (power sum) or of L = d traces
-    Tr(w^j) (trace), taken by binary splitting in O(log L) gathers.
-    Power-sum mode sums whole rows of the (N, f) table W[j] = w^j, built in
-    doubling blocks (PolyModRing.powers): one exact float64 BLAS product
-    with the multiplication matrix of w^size per block.  Trace mode needs
-    only the N scalars Tr(w^j) = w^j . T[:, 0]: on a field every trace lies
-    in F_p, which one check of the trace matrix T confirms, and
-    PolyModRing.powers_dot takes them by baby-step/giant-step without the
-    table.  Afterwards each (x, y) pair is a single lookup.
+    Tr(w^j) (trace).
+
+    Power-sum mode is the case h2 = v - 1, and then 2^L = 1 (mod N): the
+    lambda lattice holds the pair (h2, 0), so lambda divides 2^h2 - p^0 =
+    2^(v-1) - 1 (lambda_chain), and so does v by Fermat; hence so does
+    N = lcm(lambda, v).  S(k) is then L / |orbit(k)| times the sum of w^j
+    over the doubling orbit of k (_orbit_sum), so each coefficient column
+    of the (N, f) table W[j] = w^j takes one exact class sum
+    (_class_sum): residues read column 0 back by one gather, and in_fp
+    marks the orbits whose sums vanish in every other column, without an
+    (N, f) accumulator.  W is built in doubling blocks
+    (PolyModRing.powers): one exact float64 BLAS product with the
+    multiplication matrix of w^size per block, written into its own rows.
+    Trace mode needs only the N scalars Tr(w^j) = w^j . T[:, 0]: on a field
+    every trace lies in F_p, which one check of the trace matrix T
+    confirms, and PolyModRing.powers_dot takes them by baby-step/giant-step
+    without the table; _orbit_sum sums their orbits.  Afterwards each
+    (x, y) pair is a single lookup.
     Returns (residues, in_fp) as N-vectors, in_fp marking the values in F_p.
     """
     f, p = ctx.deg, ctx.p
     if mode == "power_sum":
-        acc = _orbit_sum(ctx.powers(w, N), v - 1, p)
-        residues = acc[:, 0]
-        in_fp = ~acc[:, 1:].any(axis=1) if f > 1 else np.ones(N, dtype=bool)
-        return residues, in_fp
+        L = v - 1
+        assert pow(2, L, N) == 1, "2^(v-1) != 1 mod N in power-sum mode"
+        W = ctx.powers(w, N)
+        cls, mult = _doubling_classes(N, L)
+        residues = _class_sum(W[:, 0], cls, mult, p)[cls]
+        in_fp = np.ones(len(mult), dtype=bool)
+        for c in range(1, f):
+            in_fp &= _class_sum(W[:, c], cls, mult, p) == 0
+        return residues, in_fp[cls]
     if mode == "trace":
         T = ctx.trace_matrix()
         assert not T[:, 1:].any(), "trace left the prime subfield"

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from leeperfect import nt, radius2, survey
 from leeperfect.fields import (
     FieldCtx,
     PolyModRing,
+    _ONE_THREAD,
     _RABIN_BUDGET,
     _matmul,
     _rabin,
@@ -595,6 +597,84 @@ def test_powers_dot_is_the_power_table_times_the_column(case):
     got = ring.powers_dot(a, n, t)
     assert got.dtype == np.int64 and got.shape == (n,)
     assert np.array_equal(got, _matmul(ring.powers(a, n), t[:, None], ring.p)[:, 0])
+
+
+def _matmul_reference(A, B, p):
+    """(A @ B) mod p on Python integers."""
+    return np.array((A.astype(object) @ B.astype(object)) % p, dtype=np.int64)
+
+
+def _float_edge_prime(k):
+    """The largest prime p with k (p - 1)^2 <= 2^53: _matmul's last float64 product."""
+    return next(q for q in range(math.isqrt(2**53 // k) + 1, 1, -1) if nt.is_prime(q))
+
+
+@pytest.mark.parametrize("k, m", [(40, 40), (5, 3)])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 5)])
+def test_matmul_row_blocks_match_integer_products(k, m, blocks, extra):
+    # blocks * step + extra rows: around one row block of _ONE_THREAD
+    # multiply-adds, and over several, at the largest prime whose products
+    # stay float64
+    rows = blocks * (_ONE_THREAD // (k * m)) + extra
+    p = _float_edge_prime(k)
+    rng = np.random.default_rng(rows)
+    A, B = rng.integers(0, p, (rows, k)), rng.integers(0, p, (k, m))
+    A[0], B[:, 0] = p - 1, p - 1  # the largest entry: k (p - 1)^2
+    want = _matmul_reference(A, B, p)
+    got = _matmul(A, B, p)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(_matmul(A.astype(np.float64), B.astype(np.float64), p), want)
+    out = np.full((rows + 2, m), -1, dtype=np.int64)
+    assert _matmul(A, B, p, out=out[1:-1]).base is out
+    assert np.array_equal(out[1:-1], want) and (out[[0, -1]] == -1).all()
+
+
+@pytest.mark.parametrize("stacked_B", [False, True])
+def test_matmul_stacks_and_vectors_match_integer_products(stacked_B):
+    k = m = 24
+    step = _ONE_THREAD // (k * m)
+    p = _float_edge_prime(k)
+    rng = np.random.default_rng(k)
+    A = rng.integers(0, p, (3, 2 * step + 7, k))  # a stack of matrices over several blocks
+    B = rng.integers(0, p, (3, k, m) if stacked_B else (k, m))
+    assert np.array_equal(_matmul(A, B, p), _matmul_reference(A, B, p))
+    out = np.empty((3, 2 * step + 7, m), dtype=np.int64)
+    assert _matmul(A, B, p, out=out) is out
+    assert np.array_equal(out, _matmul_reference(A, B, p))
+    a = A[0, 0]  # a vector, and a stack of 1-row matrices (_rabin's steps)
+    assert np.array_equal(_matmul(a, B, p), _matmul_reference(a, B, p))
+    assert np.array_equal(_matmul(A[:, :1], B, p), _matmul_reference(A[:, :1], B, p))
+
+
+def test_matmul_int64_products_past_the_float_bound():
+    # degree 1 at a prime above 9.5e7: (p - 1)^2 passes 2^53, so the
+    # products stay int64, in row blocks as the float64 ones
+    p = _int64_edge_primes(1)[0]
+    assert (p - 1) ** 2 > 2**53
+    m = 64
+    step = _ONE_THREAD // m
+    rng = np.random.default_rng(p)
+    for rows in (step - 1, step + 1, 2 * step + 3):
+        A, B = rng.integers(0, p, (rows, 1)), rng.integers(0, p, (1, m))
+        A[0], B[0, 0] = p - 1, p - 1
+        got = _matmul(A, B, p)
+        assert got.dtype == np.int64 and np.array_equal(got, _matmul_reference(A, B, p))
+    a = A[0]
+    assert np.array_equal(_matmul(a, B, p), _matmul_reference(a, B, p))
+
+
+@pytest.mark.parametrize("d, p", [(40, 229), (7, _int64_edge_primes(7)[0])])
+def test_powers_over_several_row_blocks(d, p):
+    # the last doubling blocks of powers() hold more rows than one _matmul
+    # block, and are written into the table block by block
+    n = 5 * (_ONE_THREAD // (d * d)) + 3
+    rng = np.random.default_rng(d)
+    ring = PolyModRing(p, [int(c) for c in rng.integers(0, p, d)] + [1])
+    a = rng.integers(0, p, d)
+    rows = [ring.scalar_vec(1)]
+    for _ in range(n - 1):
+        rows.append(ring.mul(rows[-1][None], a[None])[0])
+    assert np.array_equal(ring.powers(a, n), np.array(rows))
 
 
 def test_kernel_refuses_the_ring_that_wrapped():

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,24 +279,40 @@ def _orbit_sum_linear(T, L, p):
     return acc
 
 
+def _doubling_order(N):
+    """ord_N(2) for odd N, and 1 at N = 1."""
+    return next(r for r in range(1, N + 1) if pow(2, r, N) == 1 % N)
+
+
 @st.composite
 def _orbit_tables(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 61, 107]))
-    N = draw(st.integers(1, 90))
+    classes = draw(st.booleans())  # 2^L = 1 (mod N): the doubling-class sums
+    N = 2 * draw(st.integers(0, 44)) + 1 if classes else draw(st.integers(1, 90))
     shape = draw(st.sampled_from([(N,), (N, 1), (N, 3)]))
     T = draw(arrays(np.int64, shape, elements=st.integers(0, p - 1)))
-    L = draw(st.one_of(st.integers(1, 200), st.sampled_from([1, 2, 4, 8, 64, 128])))
+    if classes:
+        L = _doubling_order(N) * draw(st.integers(1, 5))
+    else:
+        L = draw(st.one_of(st.integers(1, 200), st.sampled_from([1, 2, 4, 8, 64, 128])))
     return T, L, p
 
 
 # the gather stride 2^a mod N is 0 from a = log2 N on when N is a power of 2
-# (the gather reads index 0); N = 2 v is even, and its stride never reaches 0
+# (the gather reads index 0); N = 2 v is even, and its stride never reaches 0.
+# At odd N with ord_N(2) | L the sum runs by doubling classes: N = 1 (where
+# pow(2, L, 1) is 0, so binary splitting runs), 2 primitive mod 59 (one
+# class of 58 besides 0), and an (N, 3) table of 63 = 9 * 7, whose classes
+# have sizes 6, 3, 2 and 1
 @settings(max_examples=300, deadline=None)
 @given(_orbit_tables())
 @example((np.arange(8) % 7, 5, 7))
 @example((np.arange(48).reshape(16, 3) % 11, 100, 11))
 @example((np.arange(26) % 5, 13, 5))
 @example((np.arange(150).reshape(50, 3) % 61, 64, 61))
+@example((np.array([[4, 0, 6]]), 9, 7))
+@example((np.arange(59) % 11, 116, 11))
+@example((np.arange(189).reshape(63, 3) % 5, 12, 5))
 def test_orbit_sum_matches_linear_reference(case):
     T, L, p = case
     before = T.copy()
@@ -341,6 +358,26 @@ def test_field_check_n305_unity_order_38355():
         "a5476aab6872b785a53d8f832aa64c0ecfcddc1b163e1579817477453ea0f483")
 
 
+def test_field_check_n305_costs_its_power_table():
+    # the power-sum theta table of n = 305 is the (N, f) table of w^j,
+    # N f 8 = 21.8 MB; the orbit sums and the doubling blocks of powers()
+    # must not build a second (N, f) array, which would pass the bound
+    N, f = 38355, 71
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = radius2.field_check(305, 2557, 61)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert out.certificate["unity_order"] == N and out.certificate["f"] == f
+    assert peak < 1.5 * N * f * 8, peak
+
+
 # sha256 of the sorted certificate JSON, as the loop over the lambda
 # candidates computed it
 _FIELD_CERT_SHA256 = {
@@ -350,6 +387,18 @@ _FIELD_CERT_SHA256 = {
         "bf6a603cc5630906d23df22eb4221f5c7d5fba2f43d2b5839e3dcd7a70c5c321",
     (856, 421, 107):  # v | lambda = 38311
         "7626266c2061921619965db88db69df47e8cdc38ac83220a60771e4b2950c055",
+    # the power-sum checks above 500 of the field_r2_list benchmark, as binary
+    # splitting over the whole power table computed them
+    (507, 373, 13):  # N = 1119, f = 62
+        "00c0a689a67983952a6ba4956ee5f045a3b3775aea2648219adea3da7079e92c",
+    (507, 1381, 13):  # N = 4143, f = 23
+        "b63da9a6e0a59c70d41dd080a898da770b0c817eb29ca32cf5950094bd858c17",
+    (631, 5, 631):  # N = 15, f = 1
+        "ebbd357794a9237939702e19d708ae791e1b0a92e9a3418d16d9f0d69113c16a",
+    (631, 269, 631):  # N = 4035, f = 67
+        "e990c2557e7e6f0cada83033401ccb751ab0f76eb9645eb3ebc05d17de7dd411",
+    (989, 941, 23):  # N = 2823, f = 20
+        "fe4ed5e1a83fa86d445c61fe92a79ba6d9820e4b5c7c36a3d3142a9a3f2776de",
 }
 
 
