@@ -88,30 +88,25 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int, out: Optional[np.ndarray] = No
     (BENCH_fieldblas.json).  Each block of A is converted to the product's
     type on its own, and its product is cast and reduced straight into its
     rows of the int64 result, so no converted copy of A and no full float64
-    product sit beside the result (BENCH_thetaclasses.json).  A vector A, or
-    a stack of 1-row matrices (_rabin's steps), is one block: OpenBLAS ran
-    those vector-matrix products on one thread at every degree tried, up to
-    400.
+    product sit beside the result (BENCH_thetaclasses.json).  A vector A
+    (as a 1-row matrix), or a stack of 1-row matrices (_rabin's steps), is
+    one block: OpenBLAS ran those vector-matrix products on one thread at
+    every degree tried, up to 400.
     """
+    if A.ndim == 1:  # a vector is a 1-row matrix
+        return _matmul(A[None, :], B, p, None if out is None else out[..., None, :])[..., 0, :]
     dtype = np.float64 if A.shape[-1] * (p - 1) ** 2 <= _FLOAT_EXACT else np.int64
     # contiguous operands: numpy runs a strided view through its own loop, not BLAS
     B = np.ascontiguousarray(B, dtype=dtype)
     step = max(1, _ONE_THREAD // max(1, A.shape[-1] * B.shape[-1]))
-    if A.ndim == 1 or A.shape[-2] <= step:
-        R = np.ascontiguousarray(A, dtype=dtype) @ B
-        if out is None:
-            out = R.astype(np.int64, copy=False)
-        else:
-            out[...] = R
-        out %= p  # on int64: a float fmod is ten times slower
-        return out
     if out is None:
-        out = np.empty(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1]),
-                       dtype=np.int64)
+        # np.broadcast_shapes costs more than a small product: only for a stacked B
+        stack = A.shape[:-2] if B.ndim == 2 else np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+        out = np.empty(stack + (A.shape[-2], B.shape[-1]), dtype=np.int64)
     for i in range(0, A.shape[-2], step):
         block = out[..., i : i + step, :]
         block[...] = np.ascontiguousarray(A[..., i : i + step, :], dtype=dtype) @ B
-        block %= p
+        block %= p  # on int64: a float fmod is ten times slower
     return out
 
 

@@ -432,34 +432,20 @@ def _class_sum(col: np.ndarray, cls: np.ndarray, mult: np.ndarray, p: int) -> np
 def _orbit_sum(T: np.ndarray, L: int, p: int) -> np.ndarray:
     """S(k) = sum of T[k * 2^i mod N] over i < L, mod p, for every k < N.
 
-    T is an (N,) or (N, f) table with entries in [0, p), L >= 1.  When
-    2^L = 1 (mod N), the sequence k 2^i runs round the orbit of k under
-    doubling, |orbit| | L times, so S(k) = (L / |orbit|) times the orbit's
-    sum: one label vector (_doubling_classes), one exact class sum per
-    column (_class_sum) and one gather per column read S back; theta's
-    power-sum mode always has it, as lambda | 2^(v-1) - 1 (_theta_tables).
-    Otherwise binary splitting S_{a+b}(k) = S_a(k) + S_b(k * 2^a mod N)
-    walks the bits of L: each bit doubles a (gather S itself) and a set bit
-    adds one term (gather T), so the sum takes at most 2 floor(log2 L)
-    gathers instead of L - 1.  One % p at the end suffices: S_L <= L (p - 1),
-    far inside int64.  At N = 1, pow(2, L, 1) is 0, and binary splitting
-    sums L copies of T[0].
+    T is an (N,) or (N, f) table with entries in [0, p), L >= 1.  Binary
+    splitting S_{a+b}(k) = S_a(k) + S_b(k * 2^a mod N) walks the bits of L:
+    each bit doubles a (gather S itself) and a set bit adds one term (gather
+    T), so the sum takes at most 2 floor(log2 L) gathers instead of L - 1.
+    One % p at the end suffices: S_L <= L (p - 1), far inside int64.
     """
-    N = T.shape[0]
-    if pow(2, L, N) == 1:
-        cls, mult = _doubling_classes(N, L)
-        S = np.empty(T.shape, dtype=np.int64)
-        for out, col in zip(S.reshape(N, -1).T, T.reshape(N, -1).T):
-            out[:] = _class_sum(col, cls, mult, p)[cls]
-        return S
-    k = np.arange(N, dtype=np.int64)
+    k = np.arange(T.shape[0], dtype=np.int64)
     S = T.copy()
     a = 1
     for bit in bin(L)[3:]:
-        S += S[k * pow(2, a, N) % N]  # S_{2a}(k) = S_a(k) + S_a(k * 2^a)
+        S += S[k * pow(2, a, len(k)) % len(k)]  # S_{2a}(k) = S_a(k) + S_a(k * 2^a)
         a *= 2
         if bit == "1":
-            S += T[k * pow(2, a, N) % N]  # S_{a+1}(k) = S_a(k) + T[k * 2^a]
+            S += T[k * pow(2, a, len(k)) % len(k)]  # S_{a+1}(k) = S_a(k) + T[k * 2^a]
             a += 1
     return S % p
 
@@ -476,10 +462,11 @@ def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
     Power-sum mode is the case h2 = v - 1, and then 2^L = 1 (mod N): the
     lambda lattice holds the pair (h2, 0), so lambda divides 2^h2 - p^0 =
     2^(v-1) - 1 (lambda_chain), and so does v by Fermat; hence so does
-    N = lcm(lambda, v).  S(k) is then L / |orbit(k)| times the sum of w^j
-    over the doubling orbit of k (_orbit_sum), so each coefficient column
-    of the (N, f) table W[j] = w^j takes one exact class sum
-    (_class_sum): residues read column 0 back by one gather, and in_fp
+    N = lcm(lambda, v).  The sequence k 2^i then runs round the doubling
+    orbit of k, L / |orbit(k)| times, so S(k) is L / |orbit(k)| times the
+    sum of w^j over that orbit, and each coefficient column of the (N, f)
+    table W[j] = w^j takes one exact class sum (_doubling_classes,
+    _class_sum): residues read column 0 back by one gather, and in_fp
     marks the orbits whose sums vanish in every other column, without an
     (N, f) accumulator.  W is built in doubling blocks
     (PolyModRing.powers): one exact float64 BLAS product with the
@@ -487,8 +474,9 @@ def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
     Trace mode needs only the N scalars Tr(w^j) = w^j . T[:, 0]: on a field
     every trace lies in F_p, which one check of the trace matrix T
     confirms, and PolyModRing.powers_dot takes them by baby-step/giant-step
-    without the table; _orbit_sum sums their orbits.  Afterwards each
-    (x, y) pair is a single lookup.
+    without the table; _orbit_sum sums their orbits by binary splitting
+    (2^d need not be 1 mod N).  Afterwards each (x, y) pair is a single
+    lookup.
     Returns (residues, in_fp) as N-vectors, in_fp marking the values in F_p.
     """
     f, p = ctx.deg, ctx.p

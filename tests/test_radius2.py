@@ -300,10 +300,10 @@ def _orbit_tables(draw):
 
 # the gather stride 2^a mod N is 0 from a = log2 N on when N is a power of 2
 # (the gather reads index 0); N = 2 v is even, and its stride never reaches 0.
-# At odd N with ord_N(2) | L the sum runs by doubling classes: N = 1 (where
-# pow(2, L, 1) is 0, so binary splitting runs), 2 primitive mod 59 (one
-# class of 58 besides 0), and an (N, 3) table of 63 = 9 * 7, whose classes
-# have sizes 6, 3, 2 and 1
+# At odd N with ord_N(2) | L the power-sum theta table sums doubling classes
+# instead, checked column by column: N = 1 (where pow(2, L, 1) is 0), 2
+# primitive mod 59 (one class of 58 besides 0), and an (N, 3) table of
+# 63 = 9 * 7, whose classes have sizes 6, 3, 2 and 1
 @settings(max_examples=300, deadline=None)
 @given(_orbit_tables())
 @example((np.arange(8) % 7, 5, 7))
@@ -316,7 +316,13 @@ def _orbit_tables(draw):
 def test_orbit_sum_matches_linear_reference(case):
     T, L, p = case
     before = T.copy()
-    assert np.array_equal(radius2._orbit_sum(T, L, p), _orbit_sum_linear(T, L, p))
+    want = _orbit_sum_linear(T, L, p)
+    assert np.array_equal(radius2._orbit_sum(T, L, p), want)
+    N = T.shape[0]
+    if pow(2, L, N) == 1 % N:
+        cls, mult = radius2._doubling_classes(N, L)
+        for col, want_col in zip(T.reshape(N, -1).T, want.reshape(N, -1).T):
+            assert np.array_equal(radius2._class_sum(col, cls, mult, p)[cls], want_col)
     assert np.array_equal(T, before)
 
 
@@ -349,20 +355,9 @@ def test_field_check_n305_unity_order_38355():
     # what the linear-sum table gave (57.5 s for this one check), the digest
     # what the loop over the lambda candidates gave (2.5 s); with the column
     # statistics of _field_candidates the check takes about 0.7 s.
-    out = radius2.field_check(305, 2557, 61)
-    assert out.status is Status.UNDECIDED
-    cert = out.certificate
-    assert (cert["mode"], cert["f"], cert["unity_order"]) == ("power_sum", 71, 38355)
-    assert cert["passing"] == 38355
-    assert _cert_sha256(out) == (
-        "a5476aab6872b785a53d8f832aa64c0ecfcddc1b163e1579817477453ea0f483")
-
-
-def test_field_check_n305_costs_its_power_table():
-    # the power-sum theta table of n = 305 is the (N, f) table of w^j,
-    # N f 8 = 21.8 MB; the orbit sums and the doubling blocks of powers()
-    # must not build a second (N, f) array, which would pass the bound
-    N, f = 38355, 71
+    # Its power-sum theta table is the (N, f) table of w^j, N f 8 = 21.8 MB;
+    # the orbit sums and the doubling blocks of powers() must not build a
+    # second (N, f) array, which would pass the bound on the traced peak.
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -374,8 +369,13 @@ def test_field_check_n305_costs_its_power_table():
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert out.certificate["unity_order"] == N and out.certificate["f"] == f
-    assert peak < 1.5 * N * f * 8, peak
+    assert peak < 1.5 * 38355 * 71 * 8, peak
+    assert out.status is Status.UNDECIDED
+    cert = out.certificate
+    assert (cert["mode"], cert["f"], cert["unity_order"]) == ("power_sum", 71, 38355)
+    assert cert["passing"] == 38355
+    assert _cert_sha256(out) == (
+        "a5476aab6872b785a53d8f832aa64c0ecfcddc1b163e1579817477453ea0f483")
 
 
 # sha256 of the sorted certificate JSON, as the loop over the lambda
