@@ -7,9 +7,10 @@ matrices), which keeps the per-element cost of the character-orbit
 evaluations low even at degree 70.  Both the theta tables over F_{p^f} and
 the orbit searches in F_p[y]/Psi_v (orbitfield.CosineField) run on it.
 powers builds the (n, d) table of a^j, each doubling block written into
-its own rows; powers_dot takes only the products a^j . t with one column
-t, by baby-step/giant-step on sqrt(n) rows, so the trace-mode theta values
-(one trace column) build no table.
+its own rows: the baby steps of powers_dot and the digit table of pow.
+powers_dot takes only the products a^j . t with one column t, by
+baby-step/giant-step on sqrt(n) rows, so the theta values (one trace
+column, in both modes of field_check) build no (N, f) table.
 
 The F_p-linear maps (multiplication matrices, the power tables, Frobenius
 and its powers, the trace) run as float64 BLAS products (_matmul): every
@@ -274,15 +275,21 @@ class PolyModRing:
 
     def trace_matrix(self) -> np.ndarray:
         """Matrix of z -> sum of z^(p^k), k < deg, acting on coefficient rows
-        (cached, read-only).  The sum runs over a running power of
-        frob_matrix(1); the deg - 2 powers between are not kept."""
+        (cached, read-only).  Binary splitting over the bits of deg, as
+        radius2._orbit_sum: with F = frob_matrix(1) and S_a the sum of F^k
+        over k < a, S_2a = S_a + S_a F^a and S_(a+1) = S_a + F^a, so at most
+        3 log2 deg products in place of deg - 1.  The powers F^a are not
+        kept."""
         if self._trace is None:
-            power = np.eye(self.deg, dtype=np.int64)
-            tr = power.copy()
-            for _ in range(self.deg - 1):
-                power = self.frob(power)
-                tr += power
-            self._trace = _frozen(tr % self.p)
+            p, F = self.p, self.frob_matrix(1)
+            S, power = np.eye(self.deg, dtype=np.int64), F  # S_a and F^a, a = 1
+            for bit in bin(self.deg)[3:]:
+                S = (S + _matmul(S, power, p)) % p  # S_2a
+                power = _matmul(power, power, p)  # F^2a
+                if bit == "1":
+                    S = (S + power) % p  # S_(2a+1)
+                    power = _matmul(power, F, p)  # F^(2a+1)
+            self._trace = _frozen(S)
         return self._trace
 
 

@@ -10,13 +10,16 @@ Four families, all deciding properties of the group order 2n^2 + 2n + 1:
 * lambda_check / field_check - the unit-group invariant lambda attached to a
   pair (v, p) with p | 2n, and the finite-field conditions on the
   character-orbit sums theta(x, y) when lambda is nondegenerate.  The theta
-  table is indexed by the exponent of x*y in Z/N, N = lcm(lambda, v); the
-  y-exponents of one candidate x form a coset of the order-v subgroup, that
-  is one column of the table's (v, N/v) view, so each condition is one
-  column reduction over the whole table instead of a loop over x.  lambda is
-  a gcd over the exponent pairs (i, j) with 2^i = p^j mod v; it is read off
-  a Lagrange-Gauss reduced basis of their lattice, so the gcd runs on
-  integers of a few thousand bits instead of p^l - 1 itself.
+  table is indexed by the exponent of x*y in Z/N, N = lcm(lambda, v); in
+  both of the paper's forms (power sum, trace sum) theta is one sum over
+  the subgroup <2, p> of (Z/N)*, read off the N traces of the powers of an
+  order-N element.  The y-exponents of one candidate x form a coset of the
+  order-v subgroup, that is one column of the table's (v, N/v) view, so
+  each condition is one column reduction over the whole table instead of a
+  loop over x.  lambda is a gcd over the exponent pairs (i, j) with
+  2^i = p^j mod v; it is read off a Lagrange-Gauss reduced basis of their
+  lattice, so the gcd runs on integers of a few thousand bits instead of
+  p^l - 1 itself.
 * orbit_check - exhaustive search over chi(T) mod p for the instances
   (v, p) = (13, 11) and (17, 3), reproducing the published machine
   computation: the class values are the Frobenius images of tau = V(1), so
@@ -395,40 +398,6 @@ def _field_ctx(p: int, f: int, seed: int):
     return build_field(p, f, seed=seed)
 
 
-def _doubling_classes(N: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """The orbits of k -> 2k on Z/N, for 2^L = 1 (mod N): the N-vector cls
-    of each k's orbit, numbered 0, 1, ... in the order of their least
-    elements, and the vector mult of L / |orbit| per orbit.
-
-    The orbit minimum label(k) is the least k 2^i: after t steps label(k)
-    is the least over i < 2^t, and one step takes label(k) =
-    min(label(k), label(k 2^(2^t))), a gather through the permutation
-    k -> k 2^(2^t), which squares itself (one more gather) for the next
-    step.  An orbit has |orbit| | L elements, so ceil(log2 L) steps reach
-    every one.
-    """
-    k = np.arange(N, dtype=np.int64)
-    label, step = k.copy(), k * 2 % N
-    a = 1
-    while a < L:
-        np.minimum(label, label[step], out=label)
-        a *= 2
-        if a < L:
-            step = step[step]
-    number = np.cumsum(label == k) - 1  # the orbits' numbers, at their minima
-    cls = number[label]
-    return cls, L // np.bincount(cls)
-
-
-def _class_sum(col: np.ndarray, cls: np.ndarray, mult: np.ndarray, p: int) -> np.ndarray:
-    """mult times the sum of col over each orbit of _doubling_classes, mod p:
-    the orbit sum S(k) of every k of the orbit, one value per orbit.  An
-    exact int64 sum, below N (p - 1) per orbit."""
-    S = np.zeros(len(mult), dtype=np.int64)
-    np.add.at(S, cls, col)
-    return S % p * mult % p
-
-
 def _orbit_sum(T: np.ndarray, L: int, p: int) -> np.ndarray:
     """S(k) = sum of T[k * 2^i mod N] over i < L, mod p, for every k < N.
 
@@ -450,70 +419,51 @@ def _orbit_sum(T: np.ndarray, L: int, p: int) -> np.ndarray:
     return S % p
 
 
-def _theta_tables(ctx, w, N: int, v: int, d: int, mode: str):
-    """theta for every possible product x*y at once.
+def _theta_tables(ctx, w, N: int, d: int) -> np.ndarray:
+    """theta for every possible product x*y at once: the N-vector of
+    residues S(k) = sum of Tr(w^(k 2^i)) over i < d, mod p.
 
     x and y are both powers of the order-N element w, a coefficient row of
-    ctx (N = lcm(lambda, v)), so theta(x, y) only depends on the w-exponent
-    of x*y.  Each theta value is an orbit sum over the doubling orbit
-    k * 2^i mod N, of L = v - 1 powers w^j (power sum) or of L = d traces
-    Tr(w^j) (trace).
-
-    Power-sum mode is the case h2 = v - 1, and then 2^L = 1 (mod N): the
-    lambda lattice holds the pair (h2, 0), so lambda divides 2^h2 - p^0 =
-    2^(v-1) - 1 (lambda_chain), and so does v by Fermat; hence so does
-    N = lcm(lambda, v).  The sequence k 2^i then runs round the doubling
-    orbit of k, L / |orbit(k)| times, so S(k) is L / |orbit(k)| times the
-    sum of w^j over that orbit, and each coefficient column of the (N, f)
-    table W[j] = w^j takes one exact class sum (_doubling_classes,
-    _class_sum): residues read column 0 back by one gather, and in_fp
-    marks the orbits whose sums vanish in every other column, without an
-    (N, f) accumulator.  W is built in doubling blocks
-    (PolyModRing.powers): one exact float64 BLAS product with the
-    multiplication matrix of w^size per block, written into its own rows.
-    Trace mode needs only the N scalars Tr(w^j) = w^j . T[:, 0]: on a field
-    every trace lies in F_p, which one check of the trace matrix T
-    confirms, and PolyModRing.powers_dot takes them by baby-step/giant-step
-    without the table; _orbit_sum sums their orbits by binary splitting
-    (2^d need not be 1 mod N).  Afterwards each (x, y) pair is a single
-    lookup.
-    Returns (residues, in_fp) as N-vectors, in_fp marking the values in F_p.
+    ctx (N = lcm(lambda, v), f = ctx.deg, d f = v - 1), so theta(x, y) only
+    depends on the w-exponent k of x*y.  Both modes of field_check are the
+    sum of w^(k h) over the subgroup H = <2, p> of (Z/N)*:
+    - H has v - 1 elements.  Under two_and_p_generate the lambda lattice,
+      spanned by (h2, 0), (0, hp) and (i0, j0), has determinant
+      gcd(h2, i0) hp = i0 hp = v - 1, so it holds every pair with
+      2^i = p^j (mod v); lambda and v divide every 2^i - p^j on it, so N
+      does too, and reduction mod v maps H isomorphically onto (Z/v)*.
+    - Trace mode: 2 generates (Z/v)* / <p>, of order d, so the 2^i p^e,
+      i < d, e < f, run over H once.
+    - Power-sum mode (h2 = v - 1): <2> = H, so the power sum over i < v - 1
+      is the same sum, fixed by Frobenius (p H = H) and so in F_p.
+    So every check needs only the N scalars Tr(w^j) = w^j . T[:, 0]: on a
+    field every trace lies in F_p, which one check of the trace matrix T
+    confirms, PolyModRing.powers_dot takes them by baby-step/giant-step
+    without an (N, f) table, and _orbit_sum sums their orbits by binary
+    splitting.  Afterwards each (x, y) pair is a single lookup.
     """
-    f, p = ctx.deg, ctx.p
-    if mode == "power_sum":
-        L = v - 1
-        assert pow(2, L, N) == 1, "2^(v-1) != 1 mod N in power-sum mode"
-        W = ctx.powers(w, N)
-        cls, mult = _doubling_classes(N, L)
-        residues = _class_sum(W[:, 0], cls, mult, p)[cls]
-        in_fp = np.ones(len(mult), dtype=bool)
-        for c in range(1, f):
-            in_fp &= _class_sum(W[:, c], cls, mult, p) == 0
-        return residues, in_fp[cls]
-    if mode == "trace":
-        T = ctx.trace_matrix()
-        assert not T[:, 1:].any(), "trace left the prime subfield"
-        return _orbit_sum(ctx.powers_dot(w, N, T[:, 0]), d, p), np.ones(N, dtype=bool)
-    raise ValueError(f"unknown theta mode {mode!r}")
+    T = ctx.trace_matrix()
+    assert not T[:, 1:].any(), "trace left the prime subfield"
+    return _orbit_sum(ctx.powers_dot(w, N, T[:, 0]), d, ctx.p)
 
 
-def _field_candidates(residues, in_fp, n: int, v: int, p: int, lam: int, m: int):
+def _field_candidates(residues, n: int, v: int, p: int, lam: int, m: int):
     """The per-candidate conditions of field_check, one column at a time.
 
-    residues and in_fp are the N-vectors of _theta_tables, N = lcm(lam, v).
+    residues is the N-vector of _theta_tables, N = lcm(lam, v).
     Candidate x_index = i pairs with the y-exponents i N/lam + k N/v mod N,
     k < v: a coset of the order-v subgroup of Z/N.  Column c of the
     (v, N/v) view of the table holds exactly the coset of c, and no
     condition depends on the order within a coset, so each statistic is one
     axis-0 reduction over the view, and candidate i reads column
-    i N/lam mod N/v.  m is reduced mod p before it multiplies theta, so no
-    product leaves int64.  Returns the dicts of the first min(lam, 64)
-    candidates and the number of candidates that pass.
+    i N/lam mod N/v.  Every theta value lies in F_p (_theta_tables), so
+    every candidate is admissible.  m is reduced mod p before it multiplies
+    theta, so no product leaves int64.  Returns the dicts of the first
+    min(lam, 64) candidates and the number of candidates that pass.
     """
     N = residues.shape[0]
     cols = N // v
     R = residues.reshape(v, cols)
-    admissible = in_fp.reshape(v, cols).all(axis=0)
     if m == 1:
         count1 = (R == 1 % p).sum(axis=0)
         count0 = (R == 0).sum(axis=0)
@@ -526,9 +476,7 @@ def _field_candidates(residues, in_fp, n: int, v: int, p: int, lam: int, m: int)
     col_of = np.arange(lam, dtype=np.int64) * (N // lam) % cols
     candidates = []
     for xi, c in enumerate(col_of[:64].tolist()):
-        if not admissible[c]:
-            candidates.append({"x_index": xi, "admissible": False})
-        elif m == 1:
+        if m == 1:
             candidates.append({
                 "x_index": xi, "admissible": True, "count_theta_1": int(count1[c]),
                 "count_theta_0": int(count0[c]), "passes": bool(ok[c]),
@@ -538,7 +486,7 @@ def _field_candidates(residues, in_fp, n: int, v: int, p: int, lam: int, m: int)
                 "x_index": xi, "admissible": True, "sum_ok": bool(sum_ok[c]),
                 "range_violations": int(range_violations[c]), "passes": bool(ok[c]),
             })
-    return candidates, int((admissible & ok)[col_of].sum())
+    return candidates, int(ok[col_of].sum())
 
 
 def field_check(
@@ -582,6 +530,7 @@ def field_check(
             reason=f"unity enumeration {N} exceeds max_unity_enum {caps.max_unity_enum}",
             params={**params, "f": f},
         )
+    # the paper's form of theta, for the certificate: _theta_tables sums both alike
     mode = "power_sum" if lam_cert.h2 == v - 1 else "trace"
     table_work = N * (v - 1 if mode == "power_sum" else lam_cert.d)
     if table_work > caps.search_node_budget:
@@ -598,9 +547,12 @@ def field_check(
     for _ in range(lam_cert.l % f):  # single steps: frob(x_gen, e) would cache frob_matrix(e)
         fixed = ctx.frob(fixed)
     assert np.array_equal(fixed, x_gen), "lambda-th root escaped F_{p^l}"
-    residues, in_fp = _theta_tables(ctx, w, N, v, lam_cert.d, mode)
+    # the lambda lattice mod N, on which _theta_tables' one sum over <2, p> rests
+    assert pow(2, lam_cert.h2, N) == 1 and pow(2, lam_cert.i0, N) == pow(p, lam_cert.j0, N), \
+        "lambda lattice pair with 2^i != p^j mod N"
+    residues = _theta_tables(ctx, w, N, lam_cert.d)
     m = lam_cert.m
-    candidates, passing = _field_candidates(residues, in_fp, n, v, p, lam, m)
+    candidates, passing = _field_candidates(residues, n, v, p, lam, m)
     cert = {
         "lambda": lam, "mode": mode, "f": f, "l": lam_cert.l, "d": lam_cert.d,
         "m": m, "unity_order": N,

@@ -484,13 +484,16 @@ def test_pow_builds_no_p_row_table_at_large_p(monkeypatch, p, f):
         assert np.array_equal(z, z0)
 
 
-@pytest.mark.parametrize("i", range(len(_RINGS)))
+# the _POW_RINGS reach every branch of the binary splitting: degrees 7
+# (0b111) and 67 (0b1000011), and one ring that is not a field
+@pytest.mark.parametrize("i", range(len(_RINGS) + len(_POW_RINGS)))
 def test_kernel_trace_is_the_frobenius_sum(i):
-    ring = _RINGS[i]
+    ring = (_RINGS + _POW_RINGS)[i]
     total = sum(ring.frob_matrix(k) for k in range(ring.deg)) % ring.p
     assert np.array_equal(ring.trace_matrix(), total)
-    assert np.array_equal(ring.frob_matrix(ring.deg), np.eye(ring.deg, dtype=np.int64))
-    # the sum runs over a running power: no Frobenius power past the first stays cached
+    if type(ring) is not PolyModRing:  # a field: z^(p^deg) = z
+        assert np.array_equal(ring.frob_matrix(ring.deg), np.eye(ring.deg, dtype=np.int64))
+    # the sum runs over powers it does not keep: no Frobenius power past the first stays cached
     fresh = PolyModRing(ring.p, ring.modulus)
     assert np.array_equal(fresh.trace_matrix(), total)
     assert set(fresh._frob) <= {0, 1}

@@ -248,6 +248,7 @@ def test_theta_trivial_values():
 @pytest.mark.parametrize("n, v, p, f, N, d, mode", [
     (10, 13, 5, 4, 39, 3, "power_sum"), (55, 61, 11, 4, 183, 15, "power_sum"),
     (535, 157, 107, 12, 471, 13, "trace"), (86, 73, 43, 24, 511, 3, "trace"),
+    (631, 5, 631, 1, 15, 4, "power_sum"),  # degree 1: the trace is the identity
 ])
 def test_theta_table_matches_scalar_theta(n, v, p, f, N, d, mode):
     # the same field and order-N element as field_check, every exponent k < N
@@ -257,13 +258,12 @@ def test_theta_table_matches_scalar_theta(n, v, p, f, N, d, mode):
     caps = DEFAULT_CAPS
     ctx = radius2._field_ctx(p, f, caps.seed)
     w = exact_order_element(ctx, N, nt.seeded_rng(caps.seed, "unity-gen", p, f, N))
-    residues, in_fp = radius2._theta_tables(ctx, w, N, v, d, mode)
+    residues = radius2._theta_tables(ctx, w, N, d)
     unit = x = one(ctx)
     step = element(ctx, w)
     for k in range(N):  # x = w^k
-        expect = theta(x, unit, v, d, mode)
-        assert bool(in_fp[k]) == (expect is not None), k
-        assert expect is None or int(residues[k]) == expect, k
+        expect = theta(x, unit, v, d, mode)  # None if the power sum leaves F_p
+        assert expect is not None and residues[k] == expect, k
         x = x * step
 
 
@@ -287,11 +287,11 @@ def _doubling_order(N):
 @st.composite
 def _orbit_tables(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 61, 107]))
-    classes = draw(st.booleans())  # 2^L = 1 (mod N): the doubling-class sums
-    N = 2 * draw(st.integers(0, 44)) + 1 if classes else draw(st.integers(1, 90))
+    whole = draw(st.booleans())  # 2^L = 1 (mod N): the sum runs round whole orbits
+    N = 2 * draw(st.integers(0, 44)) + 1 if whole else draw(st.integers(1, 90))
     shape = draw(st.sampled_from([(N,), (N, 1), (N, 3)]))
     T = draw(arrays(np.int64, shape, elements=st.integers(0, p - 1)))
-    if classes:
+    if whole:
         L = _doubling_order(N) * draw(st.integers(1, 5))
     else:
         L = draw(st.one_of(st.integers(1, 200), st.sampled_from([1, 2, 4, 8, 64, 128])))
@@ -300,10 +300,9 @@ def _orbit_tables(draw):
 
 # the gather stride 2^a mod N is 0 from a = log2 N on when N is a power of 2
 # (the gather reads index 0); N = 2 v is even, and its stride never reaches 0.
-# At odd N with ord_N(2) | L the power-sum theta table sums doubling classes
-# instead, checked column by column: N = 1 (where pow(2, L, 1) is 0), 2
-# primitive mod 59 (one class of 58 besides 0), and an (N, 3) table of
-# 63 = 9 * 7, whose classes have sizes 6, 3, 2 and 1
+# At odd N with ord_N(2) | L the sum runs round whole doubling orbits: N = 1
+# (where pow(2, L, 1) is 0), 2 primitive mod 59 (one orbit of 58 besides 0),
+# and an (N, 3) table of 63 = 9 * 7, whose orbits have sizes 6, 3, 2 and 1
 @settings(max_examples=300, deadline=None)
 @given(_orbit_tables())
 @example((np.arange(8) % 7, 5, 7))
@@ -318,11 +317,6 @@ def test_orbit_sum_matches_linear_reference(case):
     before = T.copy()
     want = _orbit_sum_linear(T, L, p)
     assert np.array_equal(radius2._orbit_sum(T, L, p), want)
-    N = T.shape[0]
-    if pow(2, L, N) == 1 % N:
-        cls, mult = radius2._doubling_classes(N, L)
-        for col, want_col in zip(T.reshape(N, -1).T, want.reshape(N, -1).T):
-            assert np.array_equal(radius2._class_sum(col, cls, mult, p)[cls], want_col)
     assert np.array_equal(T, before)
 
 
@@ -355,9 +349,8 @@ def test_field_check_n305_unity_order_38355():
     # what the linear-sum table gave (57.5 s for this one check), the digest
     # what the loop over the lambda candidates gave (2.5 s); with the column
     # statistics of _field_candidates the check takes about 0.7 s.
-    # Its power-sum theta table is the (N, f) table of w^j, N f 8 = 21.8 MB;
-    # the orbit sums and the doubling blocks of powers() must not build a
-    # second (N, f) array, which would pass the bound on the traced peak.
+    # Its theta values are N traces (powers_dot), so the traced peak is
+    # O(N), far below the N f 8 = 21.8 MB of an (N, f) table of w^j.
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -369,7 +362,7 @@ def test_field_check_n305_unity_order_38355():
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak < 1.5 * 38355 * 71 * 8, peak
+    assert peak < 16 * 8 * 38355, peak
     assert out.status is Status.UNDECIDED
     cert = out.certificate
     assert (cert["mode"], cert["f"], cert["unity_order"]) == ("power_sum", 71, 38355)
@@ -407,23 +400,24 @@ def test_field_check_certificate_pinned(n, v, p):
     assert _cert_sha256(radius2.field_check(n, v, p)) == _FIELD_CERT_SHA256[n, v, p]
 
 
-def test_trace_mode_builds_no_power_table(monkeypatch):
-    # n = 687 is trace mode at N = 20263, f = 80: its theta values need the
-    # traces of w^j only, so powers() builds the sqrt(N) baby steps and no
-    # (N, f) table; the other table it may build is pow's base-p digit
-    # table of p rows
-    N = 20263
+@pytest.mark.parametrize("n, v, p, mode, N", [
+    (687, 881, 229, "trace", 20263), (856, 421, 107, "power_sum", 38311),
+])
+def test_theta_builds_no_power_table(monkeypatch, n, v, p, mode, N):
+    # in both modes the theta values need the traces of w^j only, so
+    # powers() builds the sqrt(N) baby steps and no (N, f) table; the other
+    # table it may build is pow's base-p digit table of p rows
     small_powers = PolyModRing.powers
     asked = []
-    def powers(self, a, n):
-        assert n <= math.isqrt(N) + 2 or n == self.p, n
-        asked.append(n)
-        return small_powers(self, a, n)
+    def powers(self, a, rows):
+        assert rows <= math.isqrt(N) + 2 or rows == self.p, rows
+        asked.append(rows)
+        return small_powers(self, a, rows)
     monkeypatch.setattr(PolyModRing, "powers", powers)
-    out = radius2.field_check(687, 881, 229)
-    assert (out.certificate["mode"], out.certificate["unity_order"]) == ("trace", N)
+    out = radius2.field_check(n, v, p)
+    assert (out.certificate["mode"], out.certificate["unity_order"]) == (mode, N)
     assert math.isqrt(N) + 2 in asked
-    assert _cert_sha256(out) == _FIELD_CERT_SHA256[687, 881, 229]
+    assert _cert_sha256(out) == _FIELD_CERT_SHA256[n, v, p]
 
 
 def test_every_field_outcome_to_500_pinned():
@@ -438,7 +432,7 @@ def test_every_field_outcome_to_500_pinned():
         "801c5358110ebe286566f59a7098be2dfedc9dadf4cdf8bcea59535b096eb42c")
 
 
-def _field_candidates_reference(residues, in_fp, n, v, p, lam, m):
+def _field_candidates_reference(residues, n, v, p, lam, m):
     """Reference for radius2._field_candidates: the loop over the lambda
     candidates that field_check ran before the column statistics, with one
     gather and one dict per candidate.  Returns (per_x, some_pass)."""
@@ -449,11 +443,7 @@ def _field_candidates_reference(residues, in_fp, n, v, p, lam, m):
     per_x = []
     some_pass = False
     for xi in range(lam):
-        gamma = (xi * x_step + ks) % N
-        if not in_fp[gamma].all():
-            per_x.append({"x_index": xi, "admissible": False})
-            continue
-        thetas = residues[gamma]
+        thetas = residues[(xi * x_step + ks) % N]
         if m == 1:
             count1 = int((thetas == 1 % p).sum())
             count0 = int((thetas == 0).sum())
@@ -474,10 +464,10 @@ def _field_candidates_reference(residues, in_fp, n, v, p, lam, m):
     return per_x, some_pass
 
 
-def _candidate_table(p, m, n, v, lam, seed, planted, holes):
-    """Synthetic (residues, in_fp) for N = lcm(lam, v): random residues,
-    passing columns planted at `planted` (m = 1: 2n^2 ones and 2n+1 zeros
-    when v has room; m > 1: all zeros), in_fp False at `holes`."""
+def _candidate_table(p, m, n, v, lam, seed, planted):
+    """Synthetic residues for N = lcm(lam, v): random residues, passing
+    columns planted at `planted` (m = 1: 2n^2 ones and 2n+1 zeros when v
+    has room; m > 1: all zeros)."""
     N = lam * v // math.gcd(lam, v)
     rng = np.random.default_rng(seed)
     table = rng.integers(0, p, size=(v, N // v))  # column c: the coset of c
@@ -488,9 +478,7 @@ def _candidate_table(p, m, n, v, lam, seed, planted, holes):
             col[:2 * n * n] = 1
             col[2 * n * n : 2 * n * n + 2 * n + 1] = 0
         table[:, c] = rng.permutation(col)
-    in_fp = np.ones(N, dtype=bool)
-    in_fp[holes] = False
-    return table.reshape(N), in_fp
+    return table.reshape(N)
 
 
 @st.composite
@@ -505,34 +493,33 @@ def _candidate_cases(draw):
         lam = draw(st.integers(2, 150).filter(lambda l: math.gcd(l, v) == 1))
     N = lam * v // math.gcd(lam, v)
     planted = draw(st.lists(st.integers(0, N // v - 1), max_size=3))
-    holes = draw(st.lists(st.integers(0, N - 1), max_size=3))
-    return p, m, n, v, lam, draw(st.integers(0, 2**32 - 1)), planted, holes
+    return p, m, n, v, lam, draw(st.integers(0, 2**32 - 1)), planted
 
 
 @settings(max_examples=300, deadline=None)
 @given(_candidate_cases())
-@example((7, 1, 1, 5, 3, 0, [0, 2], [4]))  # m = 1, gcd(lambda, v) = 1, lambda <= 64
-@example((3, 1, 2, 13, 130, 1, [3], [20]))  # m = 1, v | lambda > 64
-@example((5, 12, 2, 13, 91, 2, [1], [7, 50]))  # m >= p, v | lambda > 64
-@example((61, 2, 1, 7, 100, 3, [5], [9]))  # 1 < m < p, gcd 1, lambda > 64
+@example((7, 1, 1, 5, 3, 0, [0, 2]))  # m = 1, gcd(lambda, v) = 1, lambda <= 64
+@example((3, 1, 2, 13, 130, 1, [3]))  # m = 1, v | lambda > 64
+@example((5, 12, 2, 13, 91, 2, [1]))  # m >= p, v | lambda > 64
+@example((61, 2, 1, 7, 100, 3, [5]))  # 1 < m < p, gcd 1, lambda > 64
 def test_field_candidates_match_per_x_reference(case):
     p, m, n, v, lam = case[:5]
-    residues, in_fp = _candidate_table(*case)
-    before = residues.copy(), in_fp.copy()
+    residues = _candidate_table(*case)
+    before = residues.copy()
 
     def reference(m):
-        per_x, some_pass = _field_candidates_reference(residues, in_fp, n, v, p, lam, m)
+        per_x, some_pass = _field_candidates_reference(residues, n, v, p, lam, m)
         return json.dumps(per_x[:64]), sum(1 for c in per_x if c.get("passes")), some_pass
 
     def fast(m):
-        candidates, passing = radius2._field_candidates(residues, in_fp, n, v, p, lam, m)
+        candidates, passing = radius2._field_candidates(residues, n, v, p, lam, m)
         # json.dumps keeps the key order and refuses numpy ints and bools
         return json.dumps(candidates), passing, passing > 0
 
     assert fast(m) == reference(m)
     if m > 1:  # m is reduced mod p first: a multiplier past int64 gives the same
         assert fast(m % p + p * 2**64) == reference(m % p + p)
-    assert np.array_equal(residues, before[0]) and np.array_equal(in_fp, before[1])
+    assert np.array_equal(residues, before)
 
 
 def test_field_check_caps():

@@ -3,8 +3,9 @@
 The package computes on int64 coefficient rows only (fields.PolyModRing).
 The tests compare it with FieldElement, one immutable element of one ring
 at a time with operators, and with the scalar theta(x, y) of one pair,
-computed one product at a time with FieldElement arithmetic and the explicit
-trace; radius2._theta_tables computes every theta value at once.
+computed one product at a time with FieldElement arithmetic and the trace
+as a sum of Frobenius images; radius2._theta_tables computes every theta
+value at once.
 
 Elements never migrate between rings: mixing owners raises ValueError, even
 over equal moduli, since a silently coerced operand is the classic way to
@@ -117,12 +118,17 @@ def frobenius(e: FieldElement, k: int) -> FieldElement:
 
 
 def trace_to_prime(e: FieldElement) -> int:
-    """Sum of e^(p^k) over k < f, asserted to land in the prime subfield."""
-    ctx = e.owner
-    out = e.row() @ ctx.trace_matrix() % ctx.p
-    if out[1:].any():
+    """Sum of e^(p^k) over k < f, by f - 1 single Frobenius steps: only
+    frob_matrix(1), not the trace matrix under test.  Asserted to land in
+    the prime subfield."""
+    total = t = e
+    for _ in range(e.owner.deg - 1):
+        t = frobenius(t, 1)
+        total = total + t
+    out = in_prime_subfield(total)
+    if out is None:
         raise AssertionError("trace did not land in the prime subfield")
-    return int(out[0])
+    return out
 
 
 def in_prime_subfield(e: FieldElement) -> Optional[int]:
