@@ -23,9 +23,9 @@ sums _fits_int64 bounds only by 2^63.
 
 A FieldCtx is a PolyModRing whose modulus is a monic irreducible polynomial
 over F_p: build_field draws seeded candidates in batches, drops those with a
-root in F_p in one scan and those with x^(p^f) != x in one Rabin's test
-stacked over the batch (_rabin), and keeps the first of the rest in draw
-order that FieldCtx accepts.  _rabin is the one irreducibility test:
+root in F_p in one product (_root_free) and those with x^(p^f) != x in one
+Rabin's test stacked over the batch (_rabin), and keeps the first of the rest
+in draw order that FieldCtx accepts.  _rabin is the one irreducibility test:
 FieldCtx runs it in full on its own modulus.
 exact_order_element draws a row of given multiplicative order (pow takes a
 large exponent in base-p digits when p is small against the degree).  The
@@ -48,6 +48,7 @@ _FLOAT_EXACT = 2**53  # float64 holds every integer up to here exactly
 _ONE_THREAD = 2**18  # OpenBLAS runs a product of at most this many multiply-adds on one thread
 _SEARCH_BATCH = 16  # build_field's candidates per root scan for p <= 1024 (BENCH_fieldsearch.json)
 _RABIN_BUDGET = 2**17  # build_field's rows per _rabin call times f^2 (BENCH_rabinbatch.json)
+_ROOT_TABLE = 2**17  # entries of _root_free's table of powers per block of points
 
 
 def _fits_int64(p: int, d: int) -> bool:
@@ -92,7 +93,9 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int, out: Optional[np.ndarray] = No
     product sit beside the result (BENCH_thetaclasses.json).  A vector A
     (as a 1-row matrix), or a stack of 1-row matrices (_rabin's steps), is
     one block: OpenBLAS ran those vector-matrix products on one thread at
-    every degree tried, up to 400.
+    every degree tried, up to 400.  Without out, a product of one block is
+    converted, multiplied, cast and reduced once, without the block loop:
+    build_field makes thousands of them per search (BENCH_fieldsteps.json).
     """
     if A.ndim == 1:  # a vector is a 1-row matrix
         return _matmul(A[None, :], B, p, None if out is None else out[..., None, :])[..., 0, :]
@@ -100,9 +103,11 @@ def _matmul(A: np.ndarray, B: np.ndarray, p: int, out: Optional[np.ndarray] = No
     # contiguous operands: numpy runs a strided view through its own loop, not BLAS
     B = np.ascontiguousarray(B, dtype=dtype)
     step = max(1, _ONE_THREAD // max(1, A.shape[-1] * B.shape[-1]))
+    if out is None and A.shape[-2] <= step:  # one block: no out to fill block by block
+        out = (np.ascontiguousarray(A, dtype=dtype) @ B).astype(np.int64, copy=False)
+        return np.remainder(out, p, out=out)
     if out is None:
-        # np.broadcast_shapes costs more than a small product: only for a stacked B
-        stack = A.shape[:-2] if B.ndim == 2 else np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+        stack = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
         out = np.empty(stack + (A.shape[-2], B.shape[-1]), dtype=np.int64)
     for i in range(0, A.shape[-2], step):
         block = out[..., i : i + step, :]
@@ -313,13 +318,13 @@ def build_field(p: int, f: int, seed: int = 0) -> FieldCtx:
     """Seeded search for an irreducible degree-f modulus; same seed, same field.
     The degree cap is the caller's (field_check reads Caps.max_field_degree).
 
-    Candidates are drawn in batches: one root scan drops those with a root in
-    F_p, and one stacked _rabin call, at most _RABIN_BUDGET // f^2 rows at a
-    time, drops those with x^(p^f) != x.  The rest go to FieldCtx in draw
-    order, whose _rabin decides the gcd condition with the Frobenius matrix
-    the field keeps.  At f <= 3 a root-free candidate is irreducible.  The
-    first accepted row in draw order is the modulus, the one a search of one
-    candidate at a time finds; draws past it change nothing."""
+    Candidates are drawn in batches: one product (_root_free) drops those
+    with a root in F_p, and one stacked _rabin call, at most _RABIN_BUDGET //
+    f^2 rows at a time, drops those with x^(p^f) != x.  The rest go to
+    FieldCtx in draw order, whose _rabin decides the gcd condition with the
+    Frobenius matrix the field keeps.  At f <= 3 a root-free candidate is
+    irreducible.  The first accepted row in draw order is the modulus, the one
+    a search of one candidate at a time finds; draws past it change nothing."""
     if not nt.is_prime(p):
         raise ValueError(f"{p} is not prime")
     if f < 1:
@@ -420,14 +425,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _root_free(low: np.ndarray, p: int) -> np.ndarray:
     """Which monic polynomials have no root in F_p, each a row of its low
-    coefficients (constant term first): Horner over the (rows, p) grid."""
-    x = np.arange(p, dtype=np.int64)
-    val = np.ones((low.shape[0], p), dtype=np.int64)
-    for c in low.T[::-1]:
-        val *= x
-        val += c[:, None]
-        val %= p
-    return val.all(axis=1)
+    coefficients (constant term first).  Their values at the points x of F_p
+    are one product of the rows with the (f, width) table of x^j, j < f, plus
+    its row x^f, taken over blocks of points whose table holds at most
+    _ROOT_TABLE entries (one block up to p = 1024 at f <= 80)."""
+    f = low.shape[1]
+    width = max(1, _ROOT_TABLE // (f + 1))
+    free = np.ones(low.shape[0], dtype=bool)
+    for x0 in range(0, p, width):
+        x = np.arange(x0, min(p, x0 + width), dtype=np.int64)
+        table = np.ones((f + 1, len(x)), dtype=np.int64)
+        for j in range(f):
+            table[j + 1] = table[j] * x % p
+        free &= ((_matmul(low, table[:f], p) + table[f]) % p).all(axis=1)
+    return free
 
 
 def _reduction_rows(low: np.ndarray, p: int) -> np.ndarray:

@@ -532,14 +532,15 @@ def field_check(
         )
     # the paper's form of theta, for the certificate: _theta_tables sums both alike
     mode = "power_sum" if lam_cert.h2 == v - 1 else "trace"
-    table_work = N * (v - 1 if mode == "power_sum" else lam_cert.d)
-    if table_work > caps.search_node_budget:
-        return CriterionOutcome(
-            "field", Status.SKIPPED,
-            reason=f"theta table work {table_work} exceeds search_node_budget "
-                   f"{caps.search_node_budget}",
-            params={**params, "f": f},
-        )
+    # the theta table, and build_field: about f candidates of f steps on f x f matrices
+    for what, work in (("theta table work", N * (v - 1 if mode == "power_sum" else lam_cert.d)),
+                       ("field construction work", f**4)):
+        if work > caps.search_node_budget:
+            return CriterionOutcome(
+                "field", Status.SKIPPED,
+                reason=f"{what} {work} exceeds search_node_budget {caps.search_node_budget}",
+                params={**params, "f": f},
+            )
     ctx = _field_ctx(p, f, caps.seed)
     w = exact_order_element(ctx, N, nt.seeded_rng(caps.seed, "unity-gen", p, f, N))
     # the lambda-th roots lie in the subfield fixed by Frobenius^l

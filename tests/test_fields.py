@@ -15,8 +15,10 @@ from leeperfect.fields import (
     PolyModRing,
     _ONE_THREAD,
     _RABIN_BUDGET,
+    _frob_matrices,
     _matmul,
     _rabin,
+    _reduction_rows,
     _root_free,
     build_field,
     exact_order_element,
@@ -244,6 +246,33 @@ def test_root_scan_rejects_only_reducible_moduli(p, data):
                 FieldCtx(p, coeffs)
 
 
+def _horner_root_free(low, p):
+    """The root scan's slow reference: Horner's rule over the (rows, p) grid."""
+    x = np.arange(p, dtype=np.int64)
+    val = np.ones((low.shape[0], p), dtype=np.int64)
+    for c in low.T[::-1]:
+        val = (val * x + c[:, None]) % p
+    return val.all(axis=1)
+
+
+_SMALL_PRIMES = [q for q in range(2, 400) if nt.is_prime(q)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_SMALL_PRIMES + [65537]), st.integers(1, 8), st.data())
+def test_root_scan_matches_horner(p, f, data):
+    # 65537 spans two or more blocks of points at every f (one point in the
+    # last block at f = 1); a planted root may sit in any block
+    low = st.lists(st.integers(0, p - 1), min_size=f, max_size=f)
+    batch = data.draw(st.lists(low, min_size=1, max_size=6))
+    if data.draw(st.booleans()):  # (x - r) times a monic cofactor of degree f - 1
+        r, cofactor = data.draw(st.integers(0, p - 1)), data.draw(st.lists(
+            st.integers(0, p - 1), min_size=f - 1, max_size=f - 1)) + [1]
+        batch.append((np.convolve(cofactor, [-r, 1])[:f] % p).tolist())
+    rows = np.array(batch, dtype=np.int64)
+    assert _root_free(rows, p).tolist() == _horner_root_free(rows, p).tolist()
+
+
 @pytest.fixture(scope="module")
 def f125():
     return build_field(5, 3, seed=1)
@@ -443,6 +472,25 @@ def test_reduction_rows_are_the_high_powers_of_x(p, d, data):
     for k, row in enumerate(ring._red):
         assert np.array_equal(row, ring.pow(ring.x_vec(), d + k))
         assert row.tolist() == _schoolbook([0] * (d - 1) + [1], [0] * (k + 1) + [1], low + [1], p)
+
+
+# x^p by each branch of _frob_matrices: a unit row (p < d), a reduction row
+# (d <= p <= 2d - 2, with d = 2 at p = 2), square-and-multiply (p > 2d - 2)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 5), (3, 7), (2, 2), (5, 4), (7, 5), (3, 2), (13, 4), (229, 6)]),
+       st.integers(2, 4), st.data())
+def test_stacked_frobenius_matrices_are_each_rings(pd, k, data):
+    p, d = pd
+    low = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=d, max_size=d),
+                             min_size=k, max_size=k))
+    red = _reduction_rows(np.array(low, dtype=np.int64), p)
+    Q = _frob_matrices(red, p)
+    assert Q.shape == (k, d, d)
+    for m, Q_m in zip(low, Q):
+        ring = PolyModRing(p, m + [1])
+        assert np.array_equal(Q_m, ring.frob_matrix(1))
+        for i, row in enumerate(Q_m):  # row i is (x^p)^i
+            assert np.array_equal(row, ring._square_multiply(ring.x_vec(), p * i))
 
 
 # p = 2, degree 1, p > f, a ring that is not a field, and (631, 67) of field_check

@@ -534,6 +534,26 @@ def test_field_check_caps():
         radius2.field_check(102, 21013, 3)  # lambda = 1 is degenerate
 
 
+def test_field_check_skips_the_construction_before_building_a_field(monkeypatch):
+    # (41, 13, 41): f = 12, and the theta table work N d = 468 fits a budget
+    # of 10^4 that the construction work f^4 = 20736 does not
+    class Reached(Exception):
+        pass
+
+    def no_field(*args):
+        raise Reached
+
+    monkeypatch.setattr(radius2, "_field_ctx", no_field)
+    out = radius2.field_check(41, 13, 41, Caps(search_node_budget=10**4))
+    assert out.status is Status.SKIPPED and out.params["f"] == 12
+    assert out.reason == "field construction work 20736 exceeds search_node_budget 10000"
+    with pytest.raises(Reached):  # a budget of exactly f^4 builds the field
+        radius2.field_check(41, 13, 41, Caps(search_node_budget=12**4))
+    # the theta table's gate comes first, with its own reason
+    out = radius2.field_check(41, 13, 41, Caps(search_node_budget=100))
+    assert out.reason == "theta table work 468 exceeds search_node_budget 100"
+
+
 def test_orbit_not_applicable_on_witness_dimension():
     # n=2: 8n-3 = 13 is 13 * 1^2, so the quadratic preconditions fail and the
     # orbit reproduction never runs where a code actually exists
